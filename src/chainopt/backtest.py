@@ -18,9 +18,9 @@ import json
 import logging
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -32,7 +32,7 @@ from .errors import (
     InvalidConfig,
     NonPositiveMid,
 )
-from .market_data import ReportEntry, YEAR_SECONDS
+from .market_data import YEAR_SECONDS, ReportEntry, atomic_write
 from .optimizer import (
     CASH_ID,
     MomentEstimate,
@@ -331,13 +331,14 @@ def _run_box_strategy(
     rebalance_every: int,
     estimation_window: int,
     risk_aversion: float,
-    ivs: Mapping[str, float] | None,
+    ivs_for: Callable[[datetime], Mapping[str, float]] | None,
     riskfree_annual: float,
     echo: dict,
 ) -> BacktestReport:
     """Shared body of run_dynamic and the static box run: trailing-window
     moments into the box-constrained solver at each rebalance bar, held
-    book on solver failure."""
+    book on solver failure. ivs_for gives the implied vols the IV cap
+    uses at a bar; None leaves the cap out of the solve."""
     if rebalance_every < 1:
         raise InvalidConfig(f"rebalance_every must be >= 1, got {rebalance_every}")
     if estimation_window < 2:
@@ -355,13 +356,17 @@ def _run_box_strategy(
         missing = [ric for ric in members if ric not in column]
         if missing:
             raise InvalidConfig(f"{missing[0]} is not in the return matrix")
+        member_ivs = None
+        if ivs_for is not None:
+            known = ivs_for(ts)
+            absent = [ric for ric in members if ric not in known]
+            if absent:
+                raise InvalidConfig(f"no implied vol for {absent[0]} at {ts.isoformat()}")
+            member_ivs = [known[ric] for ric in members]
         cols = [column[ric] for ric in members]
         window_rows = returns.returns[i - estimation_window : i, cols]
         try:
             moments = estimate_moments(window_rows, estimation_window)
-            member_ivs = None
-            if ivs is not None:
-                member_ivs = [ivs[ric] for ric in members]
             return solve_box_constrained(
                 moments,
                 box,
@@ -390,7 +395,7 @@ def run_dynamic(
     rebalance_every: int = 1,
     estimation_window: int = DEFAULT_ESTIMATION_WINDOW,
     risk_aversion: float = 1.0,
-    ivs: Mapping[str, float] | None = None,
+    ivs: Mapping[datetime, Mapping[str, float]] | None = None,
     riskfree_annual: float = 0.0,
 ) -> BacktestReport:
     """Box-constrained solve on a trailing window at each rebalance bar.
@@ -399,7 +404,8 @@ def run_dynamic(
     selections, sorted for determinism. Weights drift between
     rebalances. A failed solve keeps the previous book and logs the
     event; the first bars stay in cash until one estimation window of
-    history exists.
+    history exists. With an IV cap, ivs maps each bar, like universes,
+    to the implied vols of (at least) that bar's members.
     """
     box = constraints if constraints is not None else PortfolioConstraints()
 
@@ -424,7 +430,7 @@ def run_dynamic(
         rebalance_every,
         estimation_window,
         risk_aversion,
-        ivs,
+        None if ivs is None else (lambda ts: ivs.get(ts, {})),
         riskfree_annual,
         echo,
     )
@@ -484,7 +490,7 @@ def run_static(
             max(returns.n_bars, 1),
             window,
             risk_aversion,
-            ivs,
+            None if ivs is None else (lambda ts: ivs),
             riskfree_annual,
             echo,
         )
@@ -545,19 +551,6 @@ def run_static(
 # report bundle
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(handle, "w") as stream:
-            stream.write(text)
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-
-
 def write_report_bundle(report: BacktestReport, out_dir: str) -> None:
     """Write report.json, equity.csv, weights.csv, and events.log.
 
@@ -574,23 +567,21 @@ def write_report_bundle(report: BacktestReport, out_dir: str) -> None:
         "events": list(report.events),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    _atomic_write(
-        os.path.join(out_dir, "report.json"), json.dumps(payload, indent=2) + "\n"
-    )
-
     equity_lines = ["timestamp,equity"]
     for ts, value in zip(report.timestamps, report.equity_curve):
         equity_lines.append(f"{ts.isoformat()},{value!r}")
-    _atomic_write(os.path.join(out_dir, "equity.csv"), "\n".join(equity_lines) + "\n")
-
     weight_lines = ["timestamp,ric,weight"]
     for ts, decision in report.weights_history:
         for ric, weight in zip(decision.universe, decision.weights):
             if ric != CASH_ID:
                 weight_lines.append(f"{ts.isoformat()},{ric},{weight!r}")
-    _atomic_write(os.path.join(out_dir, "weights.csv"), "\n".join(weight_lines) + "\n")
 
-    _atomic_write(
-        os.path.join(out_dir, "events.log"),
-        "".join(line + "\n" for line in report.events),
-    )
+    files = {
+        "report.json": json.dumps(payload, indent=2) + "\n",
+        "equity.csv": "\n".join(equity_lines) + "\n",
+        "weights.csv": "\n".join(weight_lines) + "\n",
+        "events.log": "".join(line + "\n" for line in report.events),
+    }
+    for name, text in files.items():
+        path = os.path.join(out_dir, name)
+        atomic_write(path, lambda temp, text=text: Path(temp).write_text(text))

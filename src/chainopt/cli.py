@@ -14,9 +14,9 @@ import argparse
 import math
 import os
 import sys
-import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from .backtest import (
     DEFAULT_ESTIMATION_WINDOW,
     ReturnMatrix,
-    _atomic_write,
     compute_returns,
     run_dynamic,
     run_long_short,
@@ -57,12 +56,14 @@ from .market_data import (
     EnrichedQuote,
     GeneratorConfig,
     ReportEntry,
+    atomic_write,
     bucket_by_liquidity,
     enrich_records,
     generate_synthetic_chain,
     parse_option_chain,
     parse_spot_series,
     write_option_chain,
+    write_report,
     write_spot_series,
 )
 from .optimizer import (
@@ -399,7 +400,7 @@ def _quotes_by_bar(quotes: Sequence[EnrichedQuote]) -> dict[datetime, list[Enric
 def _write_rows(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, lambda temp: Path(temp).write_text("\n".join(lines) + "\n"))
 
 
 def _out_path(config: RunConfig, name: str) -> str:
@@ -408,8 +409,9 @@ def _out_path(config: RunConfig, name: str) -> str:
 
 
 def _write_exclusions(config: RunConfig, entries: Sequence[ReportEntry]) -> None:
-    rows = [[entry.ric, entry.reason, entry.detail] for entry in entries]
-    _write_rows(_out_path(config, "exclusions.csv"), ["ric", "reason", "detail"], rows)
+    atomic_write(
+        _out_path(config, "exclusions.csv"), lambda temp: write_report(entries, temp)
+    )
 
 
 def _return_matrix(
@@ -518,13 +520,8 @@ def cmd_greeks(config: RunConfig) -> int:
         if solution is None or not solution.converged:
             rows.append(base + [""] * 7)
             continue
-        inputs = _pricing_inputs(quote, config, solution.sigma)
-        greeks = greek_set(inputs)
-        region = (
-            classify_region(inputs).region.value
-            if inputs.exercise is Exercise.AMERICAN
-            else ""
-        )
+        greeks = greek_set(_pricing_inputs(quote, config, solution.sigma))
+        region = greeks.region.value if greeks.region is not None else ""
         rows.append(
             base
             + [
@@ -669,20 +666,25 @@ def _per_bar_universes(
     config: RunConfig,
     quotes: Sequence[EnrichedQuote],
     timeline: Sequence[datetime],
-) -> tuple[dict[datetime, Universe], list[ReportEntry]]:
+) -> tuple[
+    dict[datetime, Universe], dict[datetime, dict[str, float]], list[ReportEntry]
+]:
     """Universe for each return row, selected from the previous bar's
-    analytics so decisions only use information already printed."""
+    analytics so decisions only use information already printed, and
+    the converged implied vols of that same snapshot."""
     metric = _ranking_metric(config)
     include_greeks = metric.kind is not MetricKind.IV
     grouped = _quotes_by_bar(quotes)
     universes: dict[datetime, Universe] = {}
+    ivs: dict[datetime, dict[str, float]] = {}
     skipped: list[ReportEntry] = []
     for t in range(1, len(timeline)):
         snapshot = _bar_analytics(grouped[timeline[t - 1]], config, include_greeks)
         ranked, missing = rank_by_metric(snapshot, metric)
         skipped.extend(missing)
         universes[timeline[t]] = select_top_bottom(ranked, config.k, timeline[t])
-    return universes, skipped
+        ivs[timeline[t]] = {a.ric: a.iv for a in snapshot if a.iv is not None}
+    return universes, ivs, skipped
 
 
 def cmd_backtest(config: RunConfig) -> int:
@@ -697,7 +699,7 @@ def cmd_backtest(config: RunConfig) -> int:
     skipped: list[ReportEntry] = []
 
     if config.strategy == "long_short":
-        universes, skipped = _per_bar_universes(config, quotes, timeline)
+        universes, _, skipped = _per_bar_universes(config, quotes, timeline)
         report = run_long_short(universes, matrix)
     elif config.strategy == "dynamic":
         constraints = PortfolioConstraints(
@@ -706,20 +708,21 @@ def cmd_backtest(config: RunConfig) -> int:
             iv_cap=config.iv_cap if config.iv_cap > 0.0 else None,
         )
         constraints.check_feasible(2 * config.k)
-        universes, skipped = _per_bar_universes(config, quotes, timeline)
-        ivs = None
-        if constraints.iv_cap is not None:
-            first_bar = _quotes_by_bar(quotes)[timeline[0]]
-            analytics = _bar_analytics(first_bar, config, include_greeks=False)
-            ivs = {a.ric: a.iv for a in analytics if a.iv is not None}
+        window = config.estimation_window or DEFAULT_ESTIMATION_WINDOW
+        if matrix.n_bars <= window:
+            raise InvalidConfig(
+                f"estimation window {window} leaves no bar to trade: the chain "
+                f"has {matrix.n_bars} return rows, and dynamic needs more than {window}"
+            )
+        universes, ivs, skipped = _per_bar_universes(config, quotes, timeline)
         report = run_dynamic(
             universes,
             matrix,
             constraints=constraints,
             rebalance_every=config.rebalance_every,
-            estimation_window=config.estimation_window or DEFAULT_ESTIMATION_WINDOW,
+            estimation_window=window,
             risk_aversion=config.risk_aversion,
-            ivs=ivs,
+            ivs=ivs if constraints.iv_cap is not None else None,
         )
     else:
         grouped = _quotes_by_bar(quotes)
@@ -751,19 +754,6 @@ def cmd_backtest(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _atomic_file(write_fn: Callable[[str], None], path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    os.close(handle)
-    try:
-        write_fn(temp_path)
-        os.replace(temp_path, path)
-    except BaseException:
-        if os.path.exists(temp_path):
-            os.unlink(temp_path)
-        raise
-
-
 def cmd_synth(config: RunConfig) -> int:
     """Generate a synthetic chain, spot series, and true-sigma table."""
     generator = GeneratorConfig(
@@ -781,8 +771,8 @@ def cmd_synth(config: RunConfig) -> int:
 
     chain_path = _out_path(config, "chain.csv")
     spot_path = _out_path(config, "spot.csv")
-    _atomic_file(lambda p: write_option_chain(chain.records, p), chain_path)
-    _atomic_file(lambda p: write_spot_series(chain.spot_series, p), spot_path)
+    atomic_write(chain_path, lambda temp: write_option_chain(chain.records, temp))
+    atomic_write(spot_path, lambda temp: write_spot_series(chain.spot_series, temp))
     truth_rows = [[ric, repr(sigma)] for ric, sigma in sorted(chain.true_sigma.items())]
     _write_rows(_out_path(config, "truth.csv"), ["ric", "sigma"], truth_rows)
     print(f"wrote {chain_path} ({len(chain.records)} rows)")

@@ -28,6 +28,7 @@ from .errors import (
 from .pricing import (
     ContractType,
     Exercise,
+    Lattice,
     PricingInputs,
     build_lattice,
     payoff,
@@ -60,29 +61,27 @@ class GreekSet:
     theta: float
     vega: float
     rho: float
+    region: Region | None = None
 
 
-def _root_continuation_value(lattice) -> float:
-    """Value of holding one more step, given optimal behavior afterwards."""
+def _root_region(lattice: Lattice) -> Region:
+    """Stopping when intrinsic value >= the value of holding one more
+    step with optimal behavior afterwards; ties resolve to Stopping."""
+    inputs = lattice.inputs
     step_one = lattice.node_values[1]
-    return lattice.discount * (
+    continuation = lattice.discount * (
         lattice.q_rn * float(step_one[1]) + (1.0 - lattice.q_rn) * float(step_one[0])
     )
+    if payoff(inputs.spot, inputs.strike, inputs.contract_type) >= continuation:
+        return Region.STOPPING
+    return Region.CONTINUATION
 
 
 def classify_region(inputs: PricingInputs) -> RegionClassification:
-    """Decide whether immediate exercise is optimal at the root node.
-
-    Stopping when intrinsic value >= continuation value; ties resolve
-    to Stopping.
-    """
+    """Decide whether immediate exercise is optimal at the root node."""
     if inputs.exercise is not Exercise.AMERICAN:
         raise InvalidConfig("region classification applies to American exercise only")
-    lattice = build_lattice(inputs)
-    intrinsic = payoff(inputs.spot, inputs.strike, inputs.contract_type)
-    if intrinsic >= _root_continuation_value(lattice):
-        return RegionClassification(Region.STOPPING)
-    return RegionClassification(Region.CONTINUATION)
+    return RegionClassification(_root_region(build_lattice(inputs)))
 
 
 def _payoff_slope(inputs: PricingInputs) -> float:
@@ -94,18 +93,9 @@ def _payoff_slope(inputs: PricingInputs) -> float:
     return -1.0 if inputs.spot < inputs.strike else 0.0
 
 
-def delta_ms(inputs: PricingInputs) -> float:
-    """Early-exercise-aware delta from the first lattice step.
-
-    Stopping region: the payoff slope (+1 / -1 / 0). Continuation
-    region: the discounted two-point expectation documented in the
-    module docstring, using the American lattice values at step 1.
-    """
-    if inputs.exercise is not Exercise.AMERICAN:
-        raise InvalidConfig("this delta applies to American exercise only")
-    lattice = build_lattice(inputs)
-    intrinsic = payoff(inputs.spot, inputs.strike, inputs.contract_type)
-    if intrinsic >= _root_continuation_value(lattice):
+def _lattice_delta(lattice: Lattice, region: Region) -> float:
+    inputs = lattice.inputs
+    if region is Region.STOPPING:
         return _payoff_slope(inputs)
 
     s = inputs.spot
@@ -121,6 +111,19 @@ def delta_ms(inputs: PricingInputs) -> float:
     return lattice.discount / (s * sigma * dt) * expectation
 
 
+def delta_ms(inputs: PricingInputs) -> float:
+    """Early-exercise-aware delta from the first lattice step.
+
+    Stopping region: the payoff slope (+1 / -1 / 0). Continuation
+    region: the discounted two-point expectation documented in the
+    module docstring, using the American lattice values at step 1.
+    """
+    if inputs.exercise is not Exercise.AMERICAN:
+        raise InvalidConfig("this delta applies to American exercise only")
+    lattice = build_lattice(inputs)
+    return _lattice_delta(lattice, _root_region(lattice))
+
+
 def delta_fd(inputs: PricingInputs, bump: float = DELTA_BUMP) -> float:
     """Central-difference delta with a relative spot bump."""
     if bump <= 0.0:
@@ -132,10 +135,15 @@ def delta_fd(inputs: PricingInputs, bump: float = DELTA_BUMP) -> float:
 
 def gamma_fd(inputs: PricingInputs, bump: float = GAMMA_BUMP) -> float:
     """Second central difference in spot, relative bump."""
+    return _gamma(inputs, bump, None)
+
+
+def _gamma(inputs: PricingInputs, bump: float, mid: float | None) -> float:
     if bump <= 0.0:
         raise InvalidBump(f"spot bump must be > 0, got {bump}")
     up = price_option(inputs.replace(spot=inputs.spot * (1.0 + bump)))
-    mid = price_option(inputs)
+    if mid is None:
+        mid = price_option(inputs)
     down = price_option(inputs.replace(spot=inputs.spot * (1.0 - bump)))
     step = inputs.spot * bump
     return (up - 2.0 * mid + down) / (step * step)
@@ -149,6 +157,10 @@ def theta_fd(inputs: PricingInputs, dt_bump: float = THETA_BUMP) -> float:
     A central difference would extend maturity, which has no calendar
     meaning for a listed contract.
     """
+    return _theta(inputs, dt_bump, None)
+
+
+def _theta(inputs: PricingInputs, dt_bump: float, base: float | None) -> float:
     if dt_bump <= 0.0:
         raise InvalidBump(f"time bump must be > 0, got {dt_bump}")
     if dt_bump >= inputs.time_to_maturity:
@@ -158,7 +170,9 @@ def theta_fd(inputs: PricingInputs, dt_bump: float = THETA_BUMP) -> float:
     shortened = price_option(
         inputs.replace(time_to_maturity=inputs.time_to_maturity - dt_bump)
     )
-    return (shortened - price_option(inputs)) / dt_bump
+    if base is None:
+        base = price_option(inputs)
+    return (shortened - base) / dt_bump
 
 
 def vega_fd(inputs: PricingInputs, vol_bump: float = VEGA_BUMP) -> float:
@@ -184,20 +198,25 @@ def rho_fd(inputs: PricingInputs, rate_bump: float = RHO_BUMP) -> float:
 
 
 def greek_set(inputs: PricingInputs) -> GreekSet:
-    """All five Greeks at default bumps.
+    """All five Greeks at default bumps, and the exercise region.
 
-    American contracts take the early-exercise-aware delta; European
-    contracts use the finite-difference delta, since the stopping or
-    continuation split does not apply to them.
+    One lattice gives the base price for gamma and theta and, for
+    American contracts, the early-exercise-aware delta and the region.
+    European contracts use the finite-difference delta and have no
+    region, since the stopping or continuation split does not apply.
     """
+    lattice = build_lattice(inputs)
     if inputs.exercise is Exercise.AMERICAN:
-        delta = delta_ms(inputs)
+        region = _root_region(lattice)
+        delta = _lattice_delta(lattice, region)
     else:
+        region = None
         delta = delta_fd(inputs)
     return GreekSet(
         delta=delta,
-        gamma=gamma_fd(inputs),
-        theta=theta_fd(inputs),
+        gamma=_gamma(inputs, GAMMA_BUMP, lattice.root_value),
+        theta=_theta(inputs, THETA_BUMP, lattice.root_value),
         vega=vega_fd(inputs),
         rho=rho_fd(inputs),
+        region=region,
     )

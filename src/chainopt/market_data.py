@@ -17,11 +17,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import os
+import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta, timezone
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -664,6 +666,21 @@ def generate_synthetic_chain(config: GeneratorConfig, seed: int) -> SyntheticCha
 # serialization
 
 
+def atomic_write(path: str, write: Callable[[str], object]) -> None:
+    """Run write(temp_path) on a temporary file beside path, then rename
+    the file over path, so no reader ever sees a partial file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    handle, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    os.close(handle)
+    try:
+        write(temp_path)
+        os.replace(temp_path, path)
+    except BaseException:
+        if os.path.exists(temp_path):
+            os.unlink(temp_path)
+        raise
+
+
 def write_option_chain(
     records: Sequence[tuple[OptionContract, MarketBar]], path: str
 ) -> None:
@@ -715,7 +732,7 @@ def write_spot_series(series: Sequence[tuple[datetime, float]], path: str) -> No
 
 def write_report(entries: Sequence[ReportEntry], path: str) -> None:
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["ric", "reason", "detail"])
         for entry in entries:
             writer.writerow([entry.ric, entry.reason, entry.detail])

@@ -152,78 +152,54 @@ def _tree_parameters(inputs: PricingInputs) -> tuple[float, float, float, float,
     return dt, u, d, q_rn, discount
 
 
-def build_lattice(inputs: PricingInputs) -> Lattice:
-    """Run backward induction and retain node values at every step.
+def _backward_induction(inputs: PricingInputs, retain_levels: bool) -> Lattice:
+    """Solve the tree by backward induction.
 
     Terminal values are the payoffs at the N+1 terminal spots; each
     earlier node is the discounted risk-neutral expectation of its two
-    successors, floored at intrinsic value for American exercise.
+    successors, floored at intrinsic value for American exercise. Without
+    retain_levels the steps share two reused buffers and node_values
+    holds the root step only.
     """
-    dt, u, d, q_rn, discount = _tree_parameters(inputs)
+    params = _tree_parameters(inputs)
+    _, u, _, q_rn, discount = params
     n = inputs.steps
     american = inputs.exercise is Exercise.AMERICAN
 
-    # One power table serves every step: the spot at node j of step i is
-    # S * u^(2j - i), i.e. powers[n - i + 2j].
+    # One power and payoff table serves every step: the spot at node j of
+    # step i is S * u^(2j - i), i.e. powers[n - i + 2j].
     powers = inputs.spot * u ** np.arange(-n, n + 1, dtype=float)
-    values = _payoff_array(powers[::2], inputs.strike, inputs.contract_type)
+    intrinsic = _payoff_array(powers, inputs.strike, inputs.contract_type)
 
-    node_values: list[np.ndarray] = [np.empty(0)] * (n + 1)
-    node_values[n] = values
+    # A copy: without retain_levels this buffer is overwritten by later steps.
+    values = intrinsic[::2].copy()
+    levels = [values]
+    spare = np.empty(n, dtype=float)
+    low = np.empty(n, dtype=float)
     for i in range(n - 1, -1, -1):
-        values = discount * (q_rn * values[1:] + (1.0 - q_rn) * values[:-1])
+        head = np.empty(i + 1, dtype=float) if retain_levels else spare[: i + 1]
+        np.multiply(values[1:], q_rn, out=head)
+        head += np.multiply(values[:-1], 1.0 - q_rn, out=low[: i + 1])
+        head *= discount
         if american:
-            spots = powers[n - i : n + i + 1 : 2]
-            intrinsic = _payoff_array(spots, inputs.strike, inputs.contract_type)
-            values = np.maximum(values, intrinsic)
-        node_values[i] = values
+            np.maximum(head, intrinsic[n - i : n + i + 1 : 2], out=head)
+        if retain_levels:
+            levels.append(head)
+        else:
+            spare = values
+        values = head
 
-    return Lattice(
-        steps=n,
-        dt=dt,
-        up=u,
-        down=d,
-        q_rn=q_rn,
-        discount=discount,
-        node_values=node_values,
-        inputs=inputs,
-    )
+    return Lattice(n, *params, levels[::-1] if retain_levels else [values], inputs)
+
+
+def build_lattice(inputs: PricingInputs) -> Lattice:
+    """Run backward induction and retain node values at every step."""
+    return _backward_induction(inputs, retain_levels=True)
 
 
 def price_option(inputs: PricingInputs) -> float:
     """Root lattice value without retaining intermediate steps."""
-    dt, u, d, q_rn, discount = _tree_parameters(inputs)
-    n = inputs.steps
-    american = inputs.exercise is Exercise.AMERICAN
-
-    powers = inputs.spot * u ** np.arange(-n, n + 1, dtype=float)
-    values = _payoff_array(powers[::2], inputs.strike, inputs.contract_type)
-
-    if american and inputs.contract_type is ContractType.PUT:
-        # Allocation-free induction on two alternating buffers; American
-        # puts are the hot path for chain-wide IV inversion. Values are
-        # non-negative throughout, so max(value, K - S) equals
-        # max(value, intrinsic) without clamping K - S at zero.
-        other = np.empty(n, dtype=float)
-        for i in range(n - 1, -1, -1):
-            head = other[: i + 1]
-            np.multiply(values[1:], q_rn, out=head)
-            low = values[:-1]
-            low *= 1.0 - q_rn
-            head += low
-            head *= discount
-            spots = powers[n - i : n + i + 1 : 2]
-            np.maximum(head, inputs.strike - spots, out=head)
-            values, other = head, values
-    else:
-        for i in range(n - 1, -1, -1):
-            values = discount * (q_rn * values[1:] + (1.0 - q_rn) * values[:-1])
-            if american:
-                spots = powers[n - i : n + i + 1 : 2]
-                intrinsic = _payoff_array(spots, inputs.strike, inputs.contract_type)
-                values = np.maximum(values, intrinsic)
-
-    return float(values[0])
+    return _backward_induction(inputs, retain_levels=False).root_value
 
 
 def _norm_cdf(x: float) -> float:

@@ -7,6 +7,7 @@ runs in well under a minute.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 
@@ -56,6 +57,30 @@ def read_rows(path) -> tuple[list[str], list[list[str]]]:
 
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+PRICE_COLUMNS = ("Open", "High", "Low", "Last", "Close Bid", "Close Ask", "Mid Close")
+
+
+def set_prices(path, pick, columns, value="0.0001") -> None:
+    """Overwrite the given price columns on every chain row pick(row) accepts;
+    rows are dicts keyed by column name."""
+    with open(path, newline="") as handle:
+        rows = list(csv.reader(handle))
+    header = rows[0]
+    for row in rows[1:]:
+        if pick(dict(zip(header, row))):
+            for name in columns:
+                row[header.index(name)] = value
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
+def synth(root, *settings: str) -> None:
+    args = ["synth", "--out", str(root)]
+    for setting in settings:
+        args.extend(["--set", setting])
+    assert main(args) == 0
 
 
 class TestConfigResolution:
@@ -315,6 +340,29 @@ class TestSelectCommand:
         bottom = [float(r[2]) for r in rows if r[0] == stamp and r[3] == "bottom"]
         assert min(top) >= max(bottom)
 
+    def test_exclusion_details_with_commas_stay_one_field(self, capsys, tmp_path):
+        # A contract priced at 0.0001 everywhere has no IV and so no Greeks;
+        # the ranking excludes it with the detail "absent: delta, gamma".
+        synth(tmp_path, "steps=20", "seed=3")
+        chain = tmp_path / "chain.csv"
+        with open(chain, newline="") as handle:
+            first = next(csv.DictReader(handle))["#RIC"]
+        set_prices(chain, lambda row: row["#RIC"] == first, PRICE_COLUMNS)
+        out = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys,
+            "select",
+            *chain_args(
+                tmp_path, out, steps=20, metric="combined", components="delta,gamma"
+            ),
+        )
+        assert code == 0
+        with open(out / "exclusions.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["ric", "reason", "detail"]
+        assert any("," in row[2] for row in rows[1:])
+        assert all(len(row) == 3 for row in rows)
+
 
 class TestOptimizeCommand:
     def test_box_weights_feasible(self, capsys, tmp_path, data_dir):
@@ -403,6 +451,42 @@ class TestBacktestCommand:
         assert code == 0
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["config"]["estimation_window"] == 2
+
+    def test_dynamic_window_longer_than_history_rejected(
+        self, capsys, tmp_path, data_dir
+    ):
+        code, _, err = run_cli(
+            capsys, "backtest", *chain_args(data_dir, tmp_path, strategy="dynamic")
+        )
+        assert code == 1
+        assert "30" in err and "3 return rows" in err
+        assert not (tmp_path / "weights.csv").exists()
+
+    def test_dynamic_iv_cap_member_without_bar_zero_iv(self, capsys, tmp_path):
+        # The highest-sigma contract has no IV at bar 0 but is selected
+        # later; the cap reads the IVs of the snapshot each universe was
+        # ranked on. A cap at the top of the sigma range cannot bind.
+        synth(tmp_path, "steps=20", "seed=11", "bars=40", "bar_interval_seconds=300")
+        with open(tmp_path / "truth.csv", newline="") as handle:
+            truth = list(csv.DictReader(handle))
+        top = max(truth, key=lambda row: float(row["sigma"]))["ric"]
+        chain = tmp_path / "chain.csv"
+        with open(chain, newline="") as handle:
+            first_bar = next(csv.DictReader(handle))["Date-Time"]
+        set_prices(
+            chain,
+            lambda row: row["#RIC"] == top and row["Date-Time"] == first_bar,
+            ("Close Bid", "Close Ask", "Mid Close"),
+        )
+        out = tmp_path / "out"
+        code, _, _ = run_cli(
+            capsys,
+            "backtest",
+            *chain_args(tmp_path, out, steps=20, strategy="dynamic", k=5, iv_cap=0.5),
+        )
+        assert code == 0
+        _, rows = read_rows(out / "weights.csv")
+        assert top in {row[1] for row in rows}
 
     def test_report_echoes_resolved_config(self, capsys, tmp_path, data_dir):
         run_cli(

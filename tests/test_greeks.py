@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+import chainopt.greeks as greeks_module
 from chainopt.errors import (
     BumpExceedsMaturity,
     InvalidBump,
@@ -315,3 +316,51 @@ def test_greek_set_propagates_vol_bump_error():
     # the vega bump check is what actually fires.
     with pytest.raises(NegativeVolAfterBump):
         greek_set(american(rate=0.0, volatility=1e-3, steps=100))
+
+
+def test_greek_set_region_matches_classify_region():
+    cases = [
+        american(spot=60.0, steps=200, contract_type=ContractType.PUT),
+        american(steps=200, contract_type=ContractType.PUT),
+        american(steps=200),
+    ]
+    regions = []
+    for inputs in cases:
+        region = greek_set(inputs).region
+        assert region is classify_region(inputs).region
+        regions.append(region)
+    assert set(regions) == {Region.STOPPING, Region.CONTINUATION}
+
+
+def test_greek_set_european_has_no_region():
+    assert greek_set(make_inputs(steps=200)).region is None
+
+
+def test_greek_set_matches_the_single_greeks():
+    for inputs in (
+        american(steps=200, contract_type=ContractType.PUT),
+        make_inputs(steps=200),
+    ):
+        greeks = greek_set(inputs)
+        if inputs.exercise is Exercise.AMERICAN:
+            assert greeks.delta == delta_ms(inputs)
+        else:
+            assert greeks.delta == delta_fd(inputs)
+        assert greeks.gamma == gamma_fd(inputs)
+        assert greeks.theta == theta_fd(inputs)
+        assert greeks.vega == vega_fd(inputs)
+        assert greeks.rho == rho_fd(inputs)
+
+
+def test_american_greek_set_builds_one_lattice_and_seven_prices(monkeypatch):
+    calls = {"build_lattice": 0, "price_option": 0}
+    for name in calls:
+        real = getattr(greeks_module, name)
+
+        def counted(inputs, real=real, name=name):
+            calls[name] += 1
+            return real(inputs)
+
+        monkeypatch.setattr(greeks_module, name, counted)
+    greek_set(american(steps=50, contract_type=ContractType.PUT))
+    assert calls == {"build_lattice": 1, "price_option": 7}

@@ -319,8 +319,14 @@ def test_american_price_non_decreasing_in_maturity():
 
 
 def test_fast_path_matches_retained_lattice():
-    for kind, exercise in itertools.product(ContractType, Exercise):
-        inputs = make_inputs(steps=75, contract_type=kind, exercise=exercise)
+    # Strikes 40 and 250 put each contract type deep in and deep out of
+    # the money, so the American put sees both exercise regions.
+    for kind, exercise, strike, steps in itertools.product(
+        ContractType, Exercise, (40.0, 100.0, 250.0), (1, 2, 75)
+    ):
+        inputs = make_inputs(
+            strike=strike, steps=steps, contract_type=kind, exercise=exercise
+        )
         assert price_option(inputs) == build_lattice(inputs).root_value
 
 
