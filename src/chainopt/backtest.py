@@ -35,23 +35,17 @@ from .errors import (
 from .market_data import YEAR_SECONDS, ReportEntry, atomic_write
 from .optimizer import (
     CASH_ID,
-    MomentEstimate,
     PortfolioConstraints,
     WeightVector,
     estimate_moments,
-    shrink_covariance,
+    solve,
     solve_box_constrained,
-    solve_markowitz,
-    solve_robust,
-    solve_with_riskfree,
 )
 from .universe import Universe
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_ESTIMATION_WINDOW = 30
-
-STATIC_KINDS = ("markowitz", "riskfree", "shrinkage", "robust", "box")
 
 
 @dataclass(frozen=True)
@@ -333,12 +327,13 @@ def _run_box_strategy(
     risk_aversion: float,
     ivs_for: Callable[[datetime], Mapping[str, float]] | None,
     riskfree_annual: float,
-    echo: dict,
+    echo_head: dict,
 ) -> BacktestReport:
     """Shared body of run_dynamic and the static box run: trailing-window
     moments into the box-constrained solver at each rebalance bar, held
     book on solver failure. ivs_for gives the implied vols the IV cap
-    uses at a bar; None leaves the cap out of the solve."""
+    uses at a bar; None leaves the cap out of the solve. The config echo
+    is echo_head followed by the window, the risk aversion and the box."""
     if rebalance_every < 1:
         raise InvalidConfig(f"rebalance_every must be >= 1, got {rebalance_every}")
     if estimation_window < 2:
@@ -346,6 +341,15 @@ def _run_box_strategy(
             f"estimation_window must be >= 2, got {estimation_window}"
         )
     box = constraints if constraints is not None else PortfolioConstraints()
+    echo = {
+        **echo_head,
+        "estimation_window": estimation_window,
+        "risk_aversion": risk_aversion,
+        "lower": box.lower,
+        "upper": box.upper,
+        "iv_cap": box.iv_cap,
+        "riskfree_annual": riskfree_annual,
+    }
     column = {ric: j for j, ric in enumerate(returns.ids)}
     events: list[str] = []
 
@@ -407,22 +411,11 @@ def run_dynamic(
     history exists. With an IV cap, ivs maps each bar, like universes,
     to the implied vols of (at least) that bar's members.
     """
-    box = constraints if constraints is not None else PortfolioConstraints()
 
     def members_for(ts: datetime) -> tuple[str, ...]:
         universe = _universe_for(universes, ts)
         return tuple(sorted(universe.top + universe.bottom))
 
-    echo = {
-        "strategy": "dynamic",
-        "rebalance_every": rebalance_every,
-        "estimation_window": estimation_window,
-        "risk_aversion": risk_aversion,
-        "lower": box.lower,
-        "upper": box.upper,
-        "iv_cap": box.iv_cap,
-        "riskfree_annual": riskfree_annual,
-    }
     return _run_box_strategy(
         returns,
         members_for,
@@ -432,7 +425,7 @@ def run_dynamic(
         risk_aversion,
         None if ivs is None else (lambda ts: ivs.get(ts, {})),
         riskfree_annual,
-        echo,
+        {"strategy": "dynamic", "rebalance_every": rebalance_every},
     )
 
 
@@ -459,40 +452,21 @@ def run_static(
     and never rebalances, making it bar-for-bar identical to a dynamic
     run with a single rebalance. The target return defaults to the
     in-sample mean of the equal-weight portfolio; solver failures
-    propagate.
+    propagate, and optimizer.solve rejects an unknown kind.
     """
-    if optimizer_kind not in STATIC_KINDS:
-        raise InvalidConfig(
-            f"unknown optimizer kind {optimizer_kind!r}; expected one of "
-            + ", ".join(STATIC_KINDS)
-        )
-
     if optimizer_kind == "box":
-        window = (
-            estimation_window
-            if estimation_window is not None
-            else DEFAULT_ESTIMATION_WINDOW
-        )
-        box = constraints if constraints is not None else PortfolioConstraints()
-        echo = {
-            "strategy": "box",
-            "estimation_window": window,
-            "risk_aversion": risk_aversion,
-            "lower": box.lower,
-            "upper": box.upper,
-            "iv_cap": box.iv_cap,
-            "riskfree_annual": riskfree_annual,
-        }
         return _run_box_strategy(
             returns,
             lambda ts: returns.ids,
             constraints,
             max(returns.n_bars, 1),
-            window,
+            estimation_window
+            if estimation_window is not None
+            else DEFAULT_ESTIMATION_WINDOW,
             risk_aversion,
             None if ivs is None else (lambda ts: ivs),
             riskfree_annual,
-            echo,
+            {"strategy": "box"},
         )
 
     window = estimation_window if estimation_window is not None else returns.n_bars
@@ -505,25 +479,15 @@ def run_static(
     sample = returns.returns[:window]
     moments = estimate_moments(sample, window)
     target = target_return if target_return is not None else float(sample.mean())
-
-    if optimizer_kind == "markowitz":
-        decision = solve_markowitz(moments, target, universe=returns.ids)
-    elif optimizer_kind == "shrinkage":
-        shrunk = MomentEstimate(
-            mean=moments.mean,
-            covariance=shrink_covariance(moments.covariance, shrinkage_intensity),
-            window=window,
-        )
-        decision = solve_markowitz(shrunk, target, universe=returns.ids)
-    elif optimizer_kind == "robust":
-        decision = solve_robust(
-            moments,
-            uncertainty=uncertainty,
-            target_return=target,
-            universe=returns.ids,
-        )
-    else:
-        decision = solve_with_riskfree(moments, riskfree, target, universe=returns.ids)
+    decision = solve(
+        optimizer_kind,
+        moments,
+        target,
+        returns.ids,
+        riskfree=riskfree,
+        shrinkage_intensity=shrinkage_intensity,
+        uncertainty=uncertainty,
+    )
 
     def decide(i: int, ts: datetime) -> WeightVector | None:
         return decision if i == 0 else None

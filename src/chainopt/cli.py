@@ -50,7 +50,7 @@ from .errors import (
     NoSpot,
     WindowTooLarge,
 )
-from .greeks import Region, classify_region, delta_fd, delta_ms, greek_set
+from .greeks import GreekSet, Region, classify_region, delta_fd, delta_ms, greek_set
 from .implied_vol import IvSolution, SolverOptions, implied_vol
 from .market_data import (
     EnrichedQuote,
@@ -67,14 +67,14 @@ from .market_data import (
     write_spot_series,
 )
 from .optimizer import (
+    KINDS,
     MomentEstimate,
     PortfolioConstraints,
     estimate_moments,
-    shrink_covariance,
+    solve,
     solve_box_constrained,
     solve_markowitz,
     solve_robust,
-    solve_with_riskfree,
 )
 from .pricing import (
     ContractType,
@@ -87,6 +87,7 @@ from .universe import (
     ContractAnalytics,
     MetricKind,
     RankingMetric,
+    ScoredContract,
     Universe,
     rank_by_metric,
     select_top_bottom,
@@ -96,15 +97,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
-BACKTEST_STRATEGIES = (
-    "long_short",
-    "dynamic",
-    "markowitz",
-    "riskfree",
-    "shrinkage",
-    "robust",
-)
-OPTIMIZE_STRATEGIES = ("markowitz", "riskfree", "shrinkage", "robust", "box")
+# A backtest of box would be a dynamic run that never rebalances, so
+# backtest offers dynamic in its place.
+BACKTEST_STRATEGIES = ("long_short", "dynamic") + tuple(k for k in KINDS if k != "box")
 
 # Errors in this tuple are the caller's to fix (config, schema, or input
 # shape); everything else raised by the pipeline is a runtime failure.
@@ -172,6 +167,10 @@ class RunConfig:
     debug_steps: int | None = None
 
     def validate(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidConfig(f"{spec.name} must be finite, got {value!r}")
         checks = (
             (self.steps >= 1, "steps must be >= 1"),
             (self.sigma > 0.0, "sigma must be > 0"),
@@ -330,13 +329,26 @@ def _pricing_inputs(quote: EnrichedQuote, config: RunConfig, sigma: float) -> Pr
     )
 
 
-def _solve_iv(quote: EnrichedQuote, config: RunConfig) -> IvSolution:
+def _analytics(
+    quote: EnrichedQuote, config: RunConfig, with_greeks: bool
+) -> tuple[IvSolution | None, GreekSet | None]:
+    """The quote's IV solve (None when its mid breaks a no-arbitrage
+    bound) and, if with_greeks and the solve converged, the Greeks at
+    that IV."""
     opts = SolverOptions(
         price_tolerance=config.price_tolerance,
         step_tolerance=config.step_tolerance,
         max_iterations=config.max_iterations,
     )
-    return implied_vol(quote.mid, _pricing_inputs(quote, config, config.sigma), opts)
+    try:
+        solution = implied_vol(
+            quote.mid, _pricing_inputs(quote, config, config.sigma), opts
+        )
+    except ArbitrageViolation:
+        return None, None
+    if not (with_greeks and solution.converged):
+        return solution, None
+    return solution, greek_set(_pricing_inputs(quote, config, solution.sigma))
 
 
 def _ranking_metric(config: RunConfig) -> RankingMetric:
@@ -357,37 +369,24 @@ def _ranking_metric(config: RunConfig) -> RankingMetric:
     return RankingMetric(kind=kind, components=components, absolute=config.absolute)
 
 
-def _bar_analytics(
-    quotes: Sequence[EnrichedQuote], config: RunConfig, include_greeks: bool
-) -> list[ContractAnalytics]:
-    """IV (and optionally Greeks) per quote; unidentifiable quotes keep
-    a row with absent analytics so the ranking can report them."""
-    out = []
+def _select_bar(
+    quotes: Sequence[EnrichedQuote], config: RunConfig, decision_time: datetime
+) -> tuple[list[ContractAnalytics], list[ScoredContract], Universe, list[ReportEntry]]:
+    """Rank one bar's quotes by the configured metric and keep the top-k
+    and bottom-k. Returns the bar's analytics, the ranking, the universe
+    and the ranking's skipped entries. A quote without a converged IV
+    keeps an analytics row with nothing in it, so the ranking reports it."""
+    metric = _ranking_metric(config)
+    snapshot = []
     for quote in quotes:
-        try:
-            solution = _solve_iv(quote, config)
-        except ArbitrageViolation:
-            out.append(ContractAnalytics(ric=quote.contract.ric))
-            continue
-        if not solution.converged:
-            out.append(ContractAnalytics(ric=quote.contract.ric))
-            continue
-        if not include_greeks:
-            out.append(ContractAnalytics(ric=quote.contract.ric, iv=solution.sigma))
-            continue
-        greeks = greek_set(_pricing_inputs(quote, config, solution.sigma))
-        out.append(
-            ContractAnalytics(
-                ric=quote.contract.ric,
-                iv=solution.sigma,
-                delta=greeks.delta,
-                gamma=greeks.gamma,
-                theta=greeks.theta,
-                vega=greeks.vega,
-                rho=greeks.rho,
-            )
+        solution, greeks = _analytics(quote, config, metric.kind is not MetricKind.IV)
+        iv = solution.sigma if solution is not None and solution.converged else None
+        values = () if greeks is None else (
+            greeks.delta, greeks.gamma, greeks.theta, greeks.vega, greeks.rho
         )
-    return out
+        snapshot.append(ContractAnalytics(quote.contract.ric, iv, *values))
+    ranked, skipped = rank_by_metric(snapshot, metric)
+    return snapshot, ranked, select_top_bottom(ranked, config.k, decision_time), skipped
 
 
 def _quotes_by_bar(quotes: Sequence[EnrichedQuote]) -> dict[datetime, list[EnrichedQuote]]:
@@ -414,9 +413,36 @@ def _write_exclusions(config: RunConfig, entries: Sequence[ReportEntry]) -> None
     )
 
 
+def _write_table(
+    config: RunConfig,
+    name: str,
+    header: Sequence[str],
+    rows: Sequence[Sequence[str]],
+    exclusions: Sequence[ReportEntry],
+) -> int:
+    """Write a command's one output table and its exclusions."""
+    path = _out_path(config, name)
+    _write_rows(path, header, rows)
+    _write_exclusions(config, exclusions)
+    print(f"wrote {path} ({len(rows)} rows)")
+    return EXIT_OK
+
+
+def _constraints(config: RunConfig) -> PortfolioConstraints:
+    return PortfolioConstraints(config.lower, config.upper, config.iv_cap or None)
+
+
+def _require_strategy(config: RunConfig, allowed: Sequence[str], command: str) -> None:
+    if config.strategy not in allowed:
+        raise InvalidConfig(
+            f"strategy must be one of {allowed} for {command}, got {config.strategy!r}"
+        )
+
+
 def _return_matrix(
     quotes: Sequence[EnrichedQuote],
-) -> tuple[ReturnMatrix, list[ReportEntry], list[datetime]]:
+) -> tuple[ReturnMatrix, list[ReportEntry], dict[datetime, list[EnrichedQuote]]]:
+    """Returns from every bar's mids, the gaps, and the quotes by bar."""
     grouped = _quotes_by_bar(quotes)
     timeline = list(grouped)
     if len(timeline) < 2:
@@ -427,10 +453,12 @@ def _return_matrix(
     for quote in quotes:
         mids[quote.contract.ric][index[quote.timestamp]] = quote.mid
     matrix, gaps = compute_returns(mids, timeline)
-    return matrix, gaps, timeline
+    return matrix, gaps, grouped
 
 
-def _select_columns(matrix: ReturnMatrix, members: Sequence[str]) -> ReturnMatrix:
+def _select_columns(matrix: ReturnMatrix, universe: Universe) -> ReturnMatrix:
+    """The return columns of the universe's members, sorted by id."""
+    members = tuple(sorted(universe.top + universe.bottom))
     columns = {ric: j for j, ric in enumerate(matrix.ids)}
     missing = [ric for ric in members if ric not in columns]
     if missing:
@@ -439,7 +467,7 @@ def _select_columns(matrix: ReturnMatrix, members: Sequence[str]) -> ReturnMatri
     return ReturnMatrix(
         start=matrix.start,
         timestamps=matrix.timestamps,
-        ids=tuple(members),
+        ids=members,
         returns=matrix.returns[:, picked],
     )
 
@@ -465,15 +493,8 @@ def cmd_price(config: RunConfig) -> int:
                 repr(price),
             ]
         )
-    path = _out_path(config, "price.csv")
-    _write_rows(
-        path,
-        ["ric", "timestamp", "spot", "strike", "time_to_maturity", "sigma", "price"],
-        rows,
-    )
-    _write_exclusions(config, exclusions)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    header = ["ric", "timestamp", "spot", "strike", "time_to_maturity", "sigma", "price"]
+    return _write_table(config, "price.csv", header, rows, exclusions)
 
 
 def cmd_iv(config: RunConfig) -> int:
@@ -481,14 +502,13 @@ def cmd_iv(config: RunConfig) -> int:
     quotes, exclusions = _load_quotes(config)
     rows = []
     for quote in quotes:
-        base = [quote.contract.ric, quote.timestamp.isoformat(), repr(quote.mid)]
-        try:
-            solution = _solve_iv(quote, config)
-        except ArbitrageViolation:
-            rows.append(base + ["", "0", "", "false"])
+        solution, _ = _analytics(quote, config, with_greeks=False)
+        row = [quote.contract.ric, quote.timestamp.isoformat(), repr(quote.mid)]
+        if solution is None:
+            rows.append(row + ["", "0", "", "false"])
             continue
         rows.append(
-            base
+            row
             + [
                 repr(solution.sigma),
                 str(solution.iterations),
@@ -496,15 +516,8 @@ def cmd_iv(config: RunConfig) -> int:
                 "true" if solution.converged else "false",
             ]
         )
-    path = _out_path(config, "iv.csv")
-    _write_rows(
-        path,
-        ["ric", "timestamp", "market_mid", "iv", "iterations", "method", "converged"],
-        rows,
-    )
-    _write_exclusions(config, exclusions)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    header = ["ric", "timestamp", "market_mid", "iv", "iterations", "method", "converged"]
+    return _write_table(config, "iv.csv", header, rows, exclusions)
 
 
 def cmd_greeks(config: RunConfig) -> int:
@@ -512,18 +525,13 @@ def cmd_greeks(config: RunConfig) -> int:
     quotes, exclusions = _load_quotes(config)
     rows = []
     for quote in quotes:
-        base = [quote.contract.ric, quote.timestamp.isoformat()]
-        try:
-            solution = _solve_iv(quote, config)
-        except ArbitrageViolation:
-            solution = None
-        if solution is None or not solution.converged:
-            rows.append(base + [""] * 7)
+        solution, greeks = _analytics(quote, config, with_greeks=True)
+        row = [quote.contract.ric, quote.timestamp.isoformat()]
+        if greeks is None:
+            rows.append(row + [""] * 7)
             continue
-        greeks = greek_set(_pricing_inputs(quote, config, solution.sigma))
-        region = greeks.region.value if greeks.region is not None else ""
         rows.append(
-            base
+            row
             + [
                 repr(solution.sigma),
                 repr(greeks.delta),
@@ -531,32 +539,21 @@ def cmd_greeks(config: RunConfig) -> int:
                 repr(greeks.theta),
                 repr(greeks.vega),
                 repr(greeks.rho),
-                region,
+                greeks.region.value if greeks.region is not None else "",
             ]
         )
-    path = _out_path(config, "greeks.csv")
-    _write_rows(
-        path,
-        ["ric", "timestamp", "iv", "delta", "gamma", "theta", "vega", "rho", "region"],
-        rows,
-    )
-    _write_exclusions(config, exclusions)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    header = ["ric", "timestamp", "iv", "delta", "gamma", "theta", "vega", "rho", "region"]
+    return _write_table(config, "greeks.csv", header, rows, exclusions)
 
 
 def cmd_select(config: RunConfig) -> int:
     """Rank every bar's cross-section and keep the top-k and bottom-k."""
     quotes, exclusions = _load_quotes(config)
-    metric = _ranking_metric(config)
-    include_greeks = metric.kind is not MetricKind.IV
     rows = []
     missing: list[ReportEntry] = []
     for stamp, bar_quotes in _quotes_by_bar(quotes).items():
-        snapshot = _bar_analytics(bar_quotes, config, include_greeks)
-        ranked, skipped = rank_by_metric(snapshot, metric)
+        _, ranked, universe, skipped = _select_bar(bar_quotes, config, stamp)
         missing.extend(skipped)
-        universe = select_top_bottom(ranked, config.k, stamp)
         scored = {entry.ric: entry for entry in ranked}
         for side, rics in (("top", universe.top), ("bottom", universe.bottom)):
             for ric in rics:
@@ -564,86 +561,44 @@ def cmd_select(config: RunConfig) -> int:
                 rows.append(
                     [stamp.isoformat(), ric, repr(entry.score), side, str(entry.rank)]
                 )
-    path = _out_path(config, "select.csv")
-    _write_rows(path, ["timestamp", "ric", "score", "side", "rank"], rows)
-    _write_exclusions(config, exclusions + missing)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    header = ["timestamp", "ric", "score", "side", "rank"]
+    return _write_table(config, "select.csv", header, rows, exclusions + missing)
 
 
-def _solve_strategy(
-    config: RunConfig,
-    strategy: str,
-    moments: MomentEstimate,
-    members: tuple[str, ...],
-    ivs: Sequence[float] | None,
-):
+def cmd_optimize(config: RunConfig) -> int:
+    """Select a universe at the last bar and solve one weight vector."""
+    _require_strategy(config, KINDS, "optimize")
+    quotes, exclusions = _load_quotes(config)
+    matrix, gaps, grouped = _return_matrix(quotes)
+    last = list(grouped)[-1]
+    snapshot, _, universe, skipped = _select_bar(grouped[last], config, last)
+    selected = _select_columns(matrix, universe)
+    moments = estimate_moments(
+        selected.returns, config.estimation_window or selected.n_bars
+    )
+    ivs = None
+    if config.iv_cap > 0.0:
+        by_ric = {analytics.ric: analytics.iv for analytics in snapshot}
+        ivs = [by_ric.get(ric) for ric in selected.ids]
+        if any(value is None for value in ivs):
+            raise InvalidConfig("iv_cap requires an implied vol for every member")
     target = (
         config.target_return
         if config.target_return is not None
         else float(moments.mean.mean())
     )
-    if strategy == "markowitz":
-        return solve_markowitz(moments, target, universe=members)
-    if strategy == "shrinkage":
-        shrunk = MomentEstimate(
-            mean=moments.mean,
-            covariance=shrink_covariance(moments.covariance, config.shrinkage_intensity),
-            window=moments.window,
-        )
-        return solve_markowitz(shrunk, target, universe=members)
-    if strategy == "robust":
-        return solve_robust(
-            moments,
-            uncertainty=config.uncertainty,
-            target_return=target,
-            universe=members,
-        )
-    if strategy == "riskfree":
-        return solve_with_riskfree(moments, config.riskfree, target, universe=members)
-    constraints = PortfolioConstraints(
-        lower=config.lower,
-        upper=config.upper,
-        iv_cap=config.iv_cap if config.iv_cap > 0.0 else None,
-    )
-    return solve_box_constrained(
+    decision = solve(
+        config.strategy,
         moments,
-        constraints,
-        ivs=ivs if constraints.iv_cap is not None else None,
+        target,
+        selected.ids,
+        riskfree=config.riskfree,
+        shrinkage_intensity=config.shrinkage_intensity,
+        uncertainty=config.uncertainty,
+        constraints=_constraints(config),
+        ivs=ivs,
         risk_aversion=config.risk_aversion,
-        universe=members,
     )
-
-
-def cmd_optimize(config: RunConfig) -> int:
-    """Select a universe at the last bar and solve one weight vector."""
-    if config.strategy not in OPTIMIZE_STRATEGIES:
-        raise InvalidConfig(
-            f"strategy must be one of {OPTIMIZE_STRATEGIES} for optimize, "
-            f"got {config.strategy!r}"
-        )
-    quotes, exclusions = _load_quotes(config)
-    matrix, gaps, timeline = _return_matrix(quotes)
-    metric = _ranking_metric(config)
-    include_greeks = metric.kind is not MetricKind.IV
-
-    last = timeline[-1]
-    bar_quotes = _quotes_by_bar(quotes)[last]
-    snapshot = _bar_analytics(bar_quotes, config, include_greeks)
-    ranked, skipped = rank_by_metric(snapshot, metric)
-    universe = select_top_bottom(ranked, config.k, last)
-    members = tuple(sorted(universe.top + universe.bottom))
-
-    selected = _select_columns(matrix, members)
-    window = config.estimation_window or selected.n_bars
-    moments = estimate_moments(selected.returns, window)
-    ivs = None
-    if config.iv_cap > 0.0:
-        by_ric = {analytics.ric: analytics.iv for analytics in snapshot}
-        ivs = [by_ric.get(ric) for ric in members]
-        if any(value is None for value in ivs):
-            raise InvalidConfig("iv_cap requires an implied vol for every member")
-    decision = _solve_strategy(config, config.strategy, moments, members, ivs)
 
     rows = [
         [
@@ -655,58 +610,42 @@ def cmd_optimize(config: RunConfig) -> int:
         ]
         for ric, weight in zip(decision.universe, decision.weights)
     ]
-    path = _out_path(config, "optimize.csv")
-    _write_rows(path, ["timestamp", "ric", "weight", "strategy", "objective_value"], rows)
-    _write_exclusions(config, exclusions + gaps + skipped)
-    print(f"wrote {path} ({len(rows)} rows)")
-    return EXIT_OK
+    header = ["timestamp", "ric", "weight", "strategy", "objective_value"]
+    return _write_table(config, "optimize.csv", header, rows, exclusions + gaps + skipped)
 
 
 def _per_bar_universes(
-    config: RunConfig,
-    quotes: Sequence[EnrichedQuote],
-    timeline: Sequence[datetime],
+    config: RunConfig, grouped: Mapping[datetime, Sequence[EnrichedQuote]]
 ) -> tuple[
     dict[datetime, Universe], dict[datetime, dict[str, float]], list[ReportEntry]
 ]:
     """Universe for each return row, selected from the previous bar's
     analytics so decisions only use information already printed, and
     the converged implied vols of that same snapshot."""
-    metric = _ranking_metric(config)
-    include_greeks = metric.kind is not MetricKind.IV
-    grouped = _quotes_by_bar(quotes)
+    timeline = list(grouped)
     universes: dict[datetime, Universe] = {}
     ivs: dict[datetime, dict[str, float]] = {}
     skipped: list[ReportEntry] = []
-    for t in range(1, len(timeline)):
-        snapshot = _bar_analytics(grouped[timeline[t - 1]], config, include_greeks)
-        ranked, missing = rank_by_metric(snapshot, metric)
+    for previous, stamp in zip(timeline, timeline[1:]):
+        snapshot, _, universes[stamp], missing = _select_bar(
+            grouped[previous], config, stamp
+        )
         skipped.extend(missing)
-        universes[timeline[t]] = select_top_bottom(ranked, config.k, timeline[t])
-        ivs[timeline[t]] = {a.ric: a.iv for a in snapshot if a.iv is not None}
+        ivs[stamp] = {a.ric: a.iv for a in snapshot if a.iv is not None}
     return universes, ivs, skipped
 
 
 def cmd_backtest(config: RunConfig) -> int:
     """Run the configured strategy over the chain and write the bundle."""
-    if config.strategy not in BACKTEST_STRATEGIES:
-        raise InvalidConfig(
-            f"strategy must be one of {BACKTEST_STRATEGIES} for backtest, "
-            f"got {config.strategy!r}"
-        )
+    _require_strategy(config, BACKTEST_STRATEGIES, "backtest")
     quotes, exclusions = _load_quotes(config)
-    matrix, gaps, timeline = _return_matrix(quotes)
-    skipped: list[ReportEntry] = []
+    matrix, gaps, grouped = _return_matrix(quotes)
 
     if config.strategy == "long_short":
-        universes, _, skipped = _per_bar_universes(config, quotes, timeline)
+        universes, _, skipped = _per_bar_universes(config, grouped)
         report = run_long_short(universes, matrix)
     elif config.strategy == "dynamic":
-        constraints = PortfolioConstraints(
-            lower=config.lower,
-            upper=config.upper,
-            iv_cap=config.iv_cap if config.iv_cap > 0.0 else None,
-        )
+        constraints = _constraints(config)
         constraints.check_feasible(2 * config.k)
         window = config.estimation_window or DEFAULT_ESTIMATION_WINDOW
         if matrix.n_bars <= window:
@@ -714,7 +653,7 @@ def cmd_backtest(config: RunConfig) -> int:
                 f"estimation window {window} leaves no bar to trade: the chain "
                 f"has {matrix.n_bars} return rows, and dynamic needs more than {window}"
             )
-        universes, ivs, skipped = _per_bar_universes(config, quotes, timeline)
+        universes, ivs, skipped = _per_bar_universes(config, grouped)
         report = run_dynamic(
             universes,
             matrix,
@@ -725,16 +664,10 @@ def cmd_backtest(config: RunConfig) -> int:
             ivs=ivs if constraints.iv_cap is not None else None,
         )
     else:
-        grouped = _quotes_by_bar(quotes)
-        metric = _ranking_metric(config)
-        snapshot = _bar_analytics(
-            grouped[timeline[0]], config, metric.kind is not MetricKind.IV
-        )
-        ranked, skipped = rank_by_metric(snapshot, metric)
-        chosen = select_top_bottom(ranked, config.k, timeline[0])
-        members = tuple(sorted(chosen.top + chosen.bottom))
+        first = next(iter(grouped))
+        _, _, chosen, skipped = _select_bar(grouped[first], config, first)
         report = run_static(
-            _select_columns(matrix, members),
+            _select_columns(matrix, chosen),
             config.strategy,
             target_return=config.target_return,
             riskfree=config.riskfree,
@@ -1012,10 +945,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         return COMMANDS[args.command](config)
-    except VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except VALIDATION_ERRORS + (FileNotFoundError,) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ChainOptError, OSError) as exc:

@@ -343,7 +343,9 @@ def parse_option_chain(
 
 
 def parse_spot_series(path: str) -> list[tuple[datetime, float]]:
-    """Read the underlying price file: Date-Time and Last columns."""
+    """Read the underlying price file: Date-Time and Last columns. A row
+    whose timestamp does not parse, or whose Last is not a positive
+    finite number, is rejected by its line number."""
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -357,9 +359,18 @@ def parse_spot_series(path: str) -> list[tuple[datetime, float]]:
         last_index = header.index("Last")
         series: list[tuple[datetime, float]] = []
         for row in reader:
+            where = f"spot row {reader.line_num}"
             if len(row) != len(header):
-                raise MalformedRow(f"spot row has {len(row)} fields, expected {len(header)}")
-            series.append((_parse_timestamp(row[time_index]), float(row[last_index])))
+                raise MalformedRow(f"{where} has {len(row)} fields, expected {len(header)}")
+            try:
+                stamp, last = _parse_timestamp(row[time_index]), float(row[last_index])
+            except ValueError as exc:
+                raise MalformedRow(f"{where}: {exc}") from None
+            if not (math.isfinite(last) and last > 0.0):
+                raise MalformedRow(
+                    f"{where}: Last must be a positive finite price, got {row[last_index]!r}"
+                )
+            series.append((stamp, last))
     series.sort(key=lambda pair: pair[0])
     return series
 

@@ -54,6 +54,10 @@ DEFAULT_UNCERTAINTY = 0.1
 DEFAULT_RISK_AVERSION = 1.0
 CASH_ID = "CASH"
 
+# Every weight problem solve() dispatches; the CLI and the backtest take
+# their strategy names from this list.
+KINDS = ("markowitz", "riskfree", "shrinkage", "robust", "box")
+
 _MAX_PGD_ITERATIONS = 200_000
 _PROJECTION_BISECTIONS = 100
 _DYKSTRA_ITERATIONS = 500
@@ -452,3 +456,49 @@ def solve_box_constrained(
     objective = float(mean @ weights - risk_aversion * (weights @ cov @ weights))
     ids = tuple(universe) if universe is not None else _default_universe(n)
     return WeightVector(weights=tuple(weights), universe=ids, objective_value=objective)
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+
+
+def solve(
+    kind: str,
+    moments: MomentEstimate,
+    target_return: float,
+    universe: Sequence[str] | None = None,
+    *,
+    riskfree: float = 0.0,
+    shrinkage_intensity: float = DEFAULT_SHRINKAGE,
+    uncertainty: float = DEFAULT_UNCERTAINTY,
+    constraints: PortfolioConstraints = PortfolioConstraints(),
+    ivs: Sequence[float] | None = None,
+    risk_aversion: float = DEFAULT_RISK_AVERSION,
+) -> WeightVector:
+    """Solve the weight problem named by ``kind`` (one of KINDS).
+
+    Each kind reads only its own solver's parameters; box ignores the
+    target return.
+    """
+    if kind == "markowitz":
+        return solve_markowitz(moments, target_return, universe=universe)
+    if kind == "shrinkage":
+        shrunk = MomentEstimate(
+            mean=moments.mean,
+            covariance=shrink_covariance(moments.covariance, shrinkage_intensity),
+            window=moments.window,
+        )
+        return solve_markowitz(shrunk, target_return, universe=universe)
+    if kind == "robust":
+        return solve_robust(
+            moments, uncertainty=uncertainty, target_return=target_return, universe=universe
+        )
+    if kind == "riskfree":
+        return solve_with_riskfree(moments, riskfree, target_return, universe=universe)
+    if kind == "box":
+        return solve_box_constrained(
+            moments, constraints, ivs=ivs, risk_aversion=risk_aversion, universe=universe
+        )
+    raise InvalidConfig(
+        f"unknown optimizer kind {kind!r}; expected one of " + ", ".join(KINDS)
+    )

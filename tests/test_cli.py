@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -127,6 +128,14 @@ class TestConfigResolution:
         with pytest.raises(InvalidConfig, match="k must be"):
             make_config({"k": "0"}, {})
 
+    @pytest.mark.parametrize(
+        "name", [spec.name for spec in fields(RunConfig) if "float" in str(spec.type)]
+    )
+    def test_non_finite_float_rejected_by_name(self, name):
+        for token in ("nan", "inf", "-inf"):
+            with pytest.raises(InvalidConfig, match=f"{name} must be finite"):
+                make_config({name: token}, {})
+
     def test_bool_tokens(self):
         assert make_config({"absolute": "yes"}, {}).absolute is True
         assert make_config({"absolute": "0"}, {}).absolute is False
@@ -183,6 +192,25 @@ class TestExitCodes:
         )
         assert code == 1
         assert "Contract Type" in err
+
+    def test_nan_rate_exits_1_naming_the_field(self, capsys, tmp_path, data_dir):
+        code, _, err = run_cli(capsys, "price", *chain_args(data_dir, tmp_path, rate="nan"))
+        assert code == 1
+        assert "rate must be finite" in err
+
+    @pytest.mark.parametrize("last", ["abc", "nan", "-1"])
+    def test_bad_spot_exits_1_naming_the_row(self, capsys, tmp_path, data_dir, last):
+        with open(data_dir / "spot.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        rows[1][rows[0].index("Last")] = last
+        spot = tmp_path / "spot.csv"
+        with open(spot, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "iv", *chain_args(data_dir, out, spot_path=spot))
+        assert code == 1
+        assert "spot row 2" in err
+        assert not (out / "iv.csv").exists()
 
     def test_missing_input_file_names_the_field(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -511,6 +539,58 @@ class TestBacktestCommand:
         _, rows = read_rows(tmp_path / "weights.csv")
         weights = [float(row[2]) for row in rows]
         assert sum(weights) == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.fixture(scope="module")
+def window_dir(tmp_path_factory):
+    """16 five-minute bars: more return rows than a 10-bar estimation window."""
+    root = tmp_path_factory.mktemp("cli_window")
+    synth(root, "seed=11", "steps=20", "bars=16", "bar_interval_seconds=300")
+    return root
+
+
+# Two members (k=1) keep the 10-row sample covariance invertible for the
+# closed-form solvers; upper=0.9 makes a two-asset box feasible.
+STRATEGY_SETTINGS = dict(steps=20, k=1, upper=0.9, estimation_window=10)
+
+
+class TestEveryStrategy:
+    @pytest.mark.parametrize("strategy", ["markowitz", "riskfree", "shrinkage", "robust", "box"])
+    def test_optimize(self, capsys, tmp_path, window_dir, strategy):
+        args = chain_args(window_dir, tmp_path, strategy=strategy, **STRATEGY_SETTINGS)
+        code, _, err = run_cli(capsys, "optimize", *args)
+        assert code == 0, err
+        _, rows = read_rows(tmp_path / "optimize.csv")
+        assert {row[3] for row in rows} == {strategy}
+        rics = [row[1] for row in rows]
+        assert len(rics) == 2 + (strategy == "riskfree")
+        assert ("CASH" in rics) == (strategy == "riskfree")
+        weights = [float(row[2]) for row in rows]
+        assert sum(weights) == pytest.approx(1.0, abs=1e-8)
+        if strategy == "box":
+            assert all(0.01 - 1e-9 <= w <= 0.9 + 1e-9 for w in weights)
+
+    @pytest.mark.parametrize(
+        "strategy",
+        ["long_short", "dynamic", "markowitz", "riskfree", "shrinkage", "robust"],
+    )
+    def test_backtest(self, capsys, tmp_path, window_dir, strategy):
+        args = chain_args(window_dir, tmp_path, strategy=strategy, **STRATEGY_SETTINGS)
+        code, _, err = run_cli(capsys, "backtest", *args)
+        assert code == 0, err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["strategy"] == strategy
+        _, equity = read_rows(tmp_path / "equity.csv")
+        assert len(equity) == 16
+        assert float(equity[0][1]) == 1.0
+        _, weights = read_rows(tmp_path / "weights.csv")
+        assert weights
+
+    def test_backtest_rejects_box(self, capsys, tmp_path, window_dir):
+        args = chain_args(window_dir, tmp_path, strategy="box", **STRATEGY_SETTINGS)
+        code, _, err = run_cli(capsys, "backtest", *args)
+        assert code == 1
+        assert "strategy" in err
 
 
 class TestSelfcheck:

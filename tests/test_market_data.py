@@ -8,6 +8,7 @@ import pytest
 from chainopt.errors import (
     ExpiredContract,
     InvalidConfig,
+    MalformedRow,
     MissingColumn,
     NoMid,
     NoSpot,
@@ -297,6 +298,23 @@ class TestParseSpotSeries:
         path = tmp_path / "spot.csv"
         path.write_text("Date-Time,Close\n2024-01-02T14:30:00+00:00,100.0\n")
         with pytest.raises(MissingColumn):
+            parse_spot_series(str(path))
+
+    @pytest.mark.parametrize("last", ["abc", "", "nan", "inf", "0", "-1.5"])
+    def test_bad_last_rejected_by_line(self, tmp_path, last):
+        path = tmp_path / "spot.csv"
+        path.write_text(
+            "Date-Time,Last\n"
+            "2024-01-02T14:30:00+00:00,100.0\n"
+            f"2024-01-02T15:30:00+00:00,{last}\n"
+        )
+        with pytest.raises(MalformedRow, match="spot row 3"):
+            parse_spot_series(str(path))
+
+    def test_bad_timestamp_rejected_by_line(self, tmp_path):
+        path = tmp_path / "spot.csv"
+        path.write_text("Date-Time,Last\nyesterday,100.0\n")
+        with pytest.raises(MalformedRow, match="spot row 2"):
             parse_spot_series(str(path))
 
 

@@ -16,12 +16,14 @@ from chainopt.errors import (
 )
 from chainopt.optimizer import (
     CASH_ID,
+    KINDS,
     MomentEstimate,
     PortfolioConstraints,
     WeightVector,
     estimate_moments,
     minimum_attainable_iv,
     shrink_covariance,
+    solve,
     solve_box_constrained,
     solve_markowitz,
     solve_robust,
@@ -385,6 +387,52 @@ class TestSolveBoxConstrained:
             solve_box_constrained(
                 moments(MU6, COV6), PortfolioConstraints(), risk_aversion=-1.0
             )
+
+
+# ---------------------------------------------------------------------------
+# dispatch
+
+
+class TestSolve:
+    IDS = ("A", "B", "C")
+    IVS = (0.3, 0.4, 0.5)
+    BOX = PortfolioConstraints(lower=0.1, upper=0.6, iv_cap=0.45)
+
+    def direct(self, kind):
+        m = moments(MU3, COV3)
+        if kind == "markowitz":
+            return solve_markowitz(m, TARGET3, universe=self.IDS)
+        if kind == "shrinkage":
+            shrunk = moments(MU3, shrink_covariance(COV3, 0.3))
+            return solve_markowitz(shrunk, TARGET3, universe=self.IDS)
+        if kind == "robust":
+            return solve_robust(m, uncertainty=0.5, target_return=TARGET3, universe=self.IDS)
+        if kind == "riskfree":
+            return solve_with_riskfree(m, 0.01, TARGET3, universe=self.IDS)
+        return solve_box_constrained(
+            m, self.BOX, ivs=self.IVS, risk_aversion=2.0, universe=self.IDS
+        )
+
+    @pytest.mark.parametrize("kind", ["markowitz", "riskfree", "shrinkage", "robust", "box"])
+    def test_matches_the_direct_solver_call(self, kind):
+        assert kind in KINDS
+        dispatched = solve(
+            kind,
+            moments(MU3, COV3),
+            TARGET3,
+            self.IDS,
+            riskfree=0.01,
+            shrinkage_intensity=0.3,
+            uncertainty=0.5,
+            constraints=self.BOX,
+            ivs=self.IVS,
+            risk_aversion=2.0,
+        )
+        assert dispatched == self.direct(kind)
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidConfig, match="kelly"):
+            solve("kelly", moments(MU3, COV3), TARGET3)
 
 
 # ---------------------------------------------------------------------------
