@@ -101,8 +101,8 @@ class OptionContract:
     maturity: date
 
     def __post_init__(self) -> None:
-        if self.strike <= 0.0:
-            raise InvalidConfig(f"strike must be > 0, got {self.strike}")
+        if not math.isfinite(self.strike) or self.strike <= 0.0:
+            raise InvalidConfig(f"strike must be finite and > 0, got {self.strike}")
 
 
 @dataclass(frozen=True)
@@ -140,13 +140,13 @@ class EnrichedQuote:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.spot <= 0.0:
-            raise InvalidConfig(f"spot must be > 0, got {self.spot}")
-        if self.mid < 0.0:
-            raise InvalidConfig(f"mid must be >= 0, got {self.mid}")
-        if self.time_to_maturity <= 0.0:
+        if not math.isfinite(self.spot) or self.spot <= 0.0:
+            raise InvalidConfig(f"spot must be finite and > 0, got {self.spot}")
+        if not math.isfinite(self.mid) or self.mid < 0.0:
+            raise InvalidConfig(f"mid must be finite and >= 0, got {self.mid}")
+        if not math.isfinite(self.time_to_maturity) or self.time_to_maturity <= 0.0:
             raise InvalidConfig(
-                f"time_to_maturity must be > 0, got {self.time_to_maturity}"
+                f"time_to_maturity must be finite and > 0, got {self.time_to_maturity}"
             )
 
 

@@ -59,8 +59,6 @@ CASH_ID = "CASH"
 KINDS = ("markowitz", "riskfree", "shrinkage", "robust", "box")
 
 _MAX_PGD_ITERATIONS = 200_000
-_PROJECTION_BISECTIONS = 100
-_DYKSTRA_ITERATIONS = 500
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,50 +328,50 @@ def solve_robust(
 # box-constrained solver
 
 
-def _project_box_budget(x: np.ndarray, lower: float, upper: float) -> np.ndarray:
-    """Project onto {lower <= w <= upper, sum(w) = 1} by bisecting the shift."""
-    lo = float(np.min(x)) - upper - 1.0
-    hi = float(np.max(x)) - lower + 1.0
-    for _ in range(_PROJECTION_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        if np.clip(x - mid, lower, upper).sum() > 1.0:
-            lo = mid
-        else:
+def _project(
+    y: np.ndarray,
+    lower: float,
+    upper: float,
+    ivs: np.ndarray | None,
+    cap: float | None,
+) -> np.ndarray:
+    """Project y onto {lower <= w <= upper, sum(w) = 1, ivs.w <= cap}.
+
+    The projection is clip(z - nu, lower, upper) with z = y - mu*ivs. For
+    a fixed mu the budget sum is piecewise linear and non-increasing in
+    nu, with kinks at z - upper and z - lower, so nu is interpolated
+    exactly on the segment that crosses 1 (Held, Wolfe and Crowder 1974;
+    Condat 2016). The portfolio IV falls monotonically in mu >= 0: mu is
+    0 when the cap is slack or absent, and otherwise the smallest mu
+    meeting the cap, bisected to float resolution.
+    """
+
+    def fill(z: np.ndarray) -> np.ndarray:
+        kinks = np.sort(np.concatenate((z - upper, z - lower)))
+        totals = np.clip(z - kinks[:, None], lower, upper).sum(axis=1)
+        k = min(max(int(np.count_nonzero(totals >= 1.0)) - 1, 0), kinks.size - 2)
+        drop = totals[k] - totals[k + 1]
+        nu = kinks[k]
+        if drop > 0.0:
+            nu += (totals[k] - 1.0) / drop * (kinks[k + 1] - kinks[k])
+        return np.clip(z - nu, lower, upper)
+
+    weights = fill(y)
+    if cap is None or ivs @ weights <= cap:
+        return weights
+    # Once mu*(iv_j - iv_i) >= y_j - y_i + (upper - lower) for every pair
+    # with iv_i < iv_j, a lower-IV member is at upper before a higher one
+    # leaves lower: the weights are the greedy fill of
+    # minimum_attainable_iv, so no larger mu changes the portfolio IV.
+    gaps = ivs[None, :] - ivs[:, None]
+    reach = y[None, :] - y[:, None] + (upper - lower)
+    lo, hi = 0.0, float(np.max(reach[gaps > 0.0] / gaps[gaps > 0.0], initial=0.0))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if ivs @ fill(y - mid * ivs) <= cap:
             hi = mid
-    return np.clip(x - 0.5 * (lo + hi), lower, upper)
-
-
-def _project_halfspace(x: np.ndarray, normal: np.ndarray, cap: float) -> np.ndarray:
-    overshoot = float(normal @ x) - cap
-    if overshoot <= 0.0:
-        return x
-    return x - (overshoot / float(normal @ normal)) * normal
-
-
-def _make_projector(
-    lower: float, upper: float, ivs: np.ndarray | None, cap: float | None
-):
-    if ivs is None or cap is None:
-        return lambda x: _project_box_budget(x, lower, upper)
-
-    def project(x: np.ndarray) -> np.ndarray:
-        # Dykstra alternation between the box-budget polytope and the
-        # IV halfspace; the final box-budget pass keeps the budget exact.
-        y = x.copy()
-        p = np.zeros_like(x)
-        q = np.zeros_like(x)
-        for _ in range(_DYKSTRA_ITERATIONS):
-            z = _project_box_budget(y + p, lower, upper)
-            p = y + p - z
-            y_next = _project_halfspace(z + q, ivs, cap)
-            q = z + q - y_next
-            if np.max(np.abs(y_next - y)) <= 1e-14:
-                y = y_next
-                break
-            y = y_next
-        return _project_box_budget(y, lower, upper)
-
-    return project
+        else:
+            lo = mid
+    return fill(y - hi * ivs)
 
 
 def minimum_attainable_iv(
@@ -429,11 +427,11 @@ def solve_box_constrained(
 
     mean = moments.mean
     cov = moments.covariance
-    project = _make_projector(constraints.lower, constraints.upper, iv_array, constraints.iv_cap)
+    bounds = (constraints.lower, constraints.upper, iv_array, constraints.iv_cap)
 
     lipschitz = 2.0 * risk_aversion * float(np.linalg.norm(cov, 2))
     step = 1.0 / max(lipschitz, 1e-12)
-    weights = project(np.full(n, 1.0 / n))
+    weights = _project(np.full(n, 1.0 / n), *bounds)
 
     def gradient(w: np.ndarray) -> np.ndarray:
         return mean - 2.0 * risk_aversion * (cov @ w)
@@ -441,11 +439,11 @@ def solve_box_constrained(
     converged = False
     for iteration in range(_MAX_PGD_ITERATIONS):
         grad = gradient(weights)
-        residual = float(np.max(np.abs(weights - project(weights + grad))))
+        residual = float(np.max(np.abs(weights - _project(weights + grad, *bounds))))
         if residual <= KKT_TOLERANCE:
             converged = True
             break
-        weights = project(weights + step * grad)
+        weights = _project(weights + step * grad, *bounds)
     if not converged:
         raise ChainOptError(
             f"projected gradient did not reach KKT residual {KKT_TOLERANCE} "

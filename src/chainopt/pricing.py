@@ -70,16 +70,10 @@ class PricingInputs:
     exercise: Exercise
 
     def __post_init__(self) -> None:
-        if self.spot <= 0.0:
-            raise InvalidConfig(f"spot must be > 0, got {self.spot}")
-        if self.strike <= 0.0:
-            raise InvalidConfig(f"strike must be > 0, got {self.strike}")
-        if self.time_to_maturity <= 0.0:
-            raise InvalidConfig(
-                f"time_to_maturity must be > 0, got {self.time_to_maturity}"
-            )
-        if self.volatility <= 0.0:
-            raise InvalidConfig(f"volatility must be > 0, got {self.volatility}")
+        for name in ("spot", "strike", "time_to_maturity", "volatility"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise InvalidConfig(f"{name} must be finite and > 0, got {value}")
         if not isinstance(self.steps, int) or self.steps < 1:
             raise InvalidConfig(f"steps must be an integer >= 1, got {self.steps}")
 

@@ -10,10 +10,17 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import logging
+import os
+import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import chainopt
 from chainopt.cli import RunConfig, load_config_file, main, make_config
 from chainopt.errors import InvalidConfig
 
@@ -211,6 +218,22 @@ class TestExitCodes:
         assert code == 1
         assert "spot row 2" in err
         assert not (out / "iv.csv").exists()
+
+    def test_nan_strike_row_is_excluded_not_priced(self, capsys, tmp_path, data_dir):
+        with open(data_dir / "chain.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        header = rows[0]
+        bad_ric = rows[1][header.index("#RIC")]
+        rows[1][header.index("Strike Price")] = "nan"
+        chain = tmp_path / "chain.csv"
+        with open(chain, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "price", *chain_args(data_dir, out, chain_path=chain))
+        assert code == 0
+        _, excluded = read_rows(out / "exclusions.csv")
+        assert [bad_ric, "malformed_row"] in [row[:2] for row in excluded]
+        assert "nan" not in (out / "price.csv").read_text()
 
     def test_missing_input_file_names_the_field(self, capsys, tmp_path):
         code, _, err = run_cli(
@@ -516,6 +539,38 @@ class TestBacktestCommand:
         _, rows = read_rows(out / "weights.csv")
         assert top in {row[1] for row in rows}
 
+    def test_dynamic_binding_iv_cap_finishes_within_the_box(self, capsys, caplog, tmp_path):
+        # Five-minute returns give a gradient step of about 1e4; with the
+        # cap binding, every rebalance once ran the projection to its
+        # iteration limit and the command never finished.
+        synth(tmp_path, "bars=40", "bar_interval_seconds=300", "steps=20", "seed=11")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.DEBUG, logger="chainopt.optimizer"):
+            code, _, _ = run_cli(
+                capsys,
+                "backtest",
+                *chain_args(tmp_path, out, steps=20, strategy="dynamic", k=5, iv_cap=0.30),
+            )
+        assert code == 0
+        converged = re.compile(r"box solve converged after (\d+) iterations")
+        iterations = [
+            int(match.group(1))
+            for record in caplog.records
+            if (match := converged.fullmatch(record.getMessage()))
+        ]
+        assert iterations and max(iterations) <= 10
+        truth = {ric: float(sigma) for ric, sigma in read_rows(tmp_path / "truth.csv")[1]}
+        books: dict[str, dict[str, float]] = {}
+        for stamp, ric, weight in read_rows(out / "weights.csv")[1]:
+            books.setdefault(stamp, {})[ric] = float(weight)
+        assert len(books) == len(iterations)
+        for book in books.values():
+            assert all(0.01 - 1e-12 <= w <= 0.40 + 1e-12 for w in book.values())
+            assert abs(sum(book.values()) - 1.0) <= 1e-8
+            # The IVs are recovered from zero-spread mids at the generating
+            # N, so they match the true sigmas to the solver's tolerance.
+            assert sum(w * truth[ric] for ric, w in book.items()) <= 0.30 + 1e-4
+
     def test_report_echoes_resolved_config(self, capsys, tmp_path, data_dir):
         run_cli(
             capsys,
@@ -611,3 +666,19 @@ class TestSelfcheck:
         assert "iv_round_trip" in out
         assert "put_call_parity" in out
         assert "frontier_monotone" in out
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_help_is_clean(self):
+        src = str(Path(chainopt.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "chainopt", "--help"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "backtest" in result.stdout

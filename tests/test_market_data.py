@@ -1,6 +1,7 @@
 """Chain parsing, liquidity buckets, enrichment, and the synthetic generator."""
 
 import csv
+import math
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -17,6 +18,7 @@ from chainopt.implied_vol import implied_vol
 from chainopt.market_data import (
     CHAIN_COLUMNS,
     BucketLabel,
+    EnrichedQuote,
     GeneratorConfig,
     MarketBar,
     OptionContract,
@@ -440,6 +442,35 @@ class TestDeriveFeatures:
             "NOMID": "NoMid",
             "EXPIRED": "ExpiredContract",
         }
+
+
+class TestNonFiniteBoundaries:
+    # nan compares False with everything, so a bare "<= 0" guard let it in.
+    @pytest.mark.parametrize("strike", [math.nan, math.inf])
+    def test_contract_rejects_non_finite_strike(self, strike):
+        with pytest.raises(InvalidConfig, match="strike"):
+            make_contract(strike=strike)
+
+    def test_nan_strike_row_is_malformed(self, tmp_path):
+        path = write_chain_file(tmp_path / "chain.csv", [make_row(**{"Strike Price": "nan"})])
+        result = parse_option_chain(path)
+        assert result.records == []
+        assert [entry.reason for entry in result.report.entries] == ["malformed_row"]
+
+    @pytest.mark.parametrize("field", ["spot", "mid", "time_to_maturity"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_enriched_quote_rejects_non_finite(self, field, value):
+        fields = dict(
+            contract=make_contract(),
+            timestamp=datetime(2024, 1, 2, 14, 30, tzinfo=UTC),
+            spot=100.0,
+            mid=5.2,
+            time_to_maturity=0.5,
+            rate=0.05,
+        )
+        fields[field] = value
+        with pytest.raises(InvalidConfig, match=field):
+            EnrichedQuote(**fields)
 
 
 # ---------------------------------------------------------------------------

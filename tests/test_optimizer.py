@@ -1,8 +1,13 @@
 """Moment estimation and the five weight solvers against frozen oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chainopt import optimizer
 from chainopt.errors import (
     DegenerateWindow,
     DimensionMismatch,
@@ -67,8 +72,53 @@ CAPPED6_W = (3 / 26, 3 / 26, 11 / 65, 11 / 65, 14 / 65, 14 / 65)
 IV_CAP = 0.36
 
 
+# Five-minute option returns: the covariance norm is about 5.8e-5, so the
+# 1/L gradient step is about 1e4 and every PGD step lands far outside the
+# polytope. Unconstrained, the optimum (0.4, 0.4, 0.18, 0.01, 0.01) has
+# portfolio IV 0.457, so a cap of 0.40 binds; the greedy floor is 0.2815.
+MU5 = np.array([4e-4, 3e-4, 2e-4, 1e-4, -1e-4])
+COV5 = 1e-5 * np.array(
+    [
+        [5.0, 1.0, 0.5, 0.0, 0.0],
+        [1.0, 4.0, 0.5, 0.5, 0.0],
+        [0.5, 0.5, 3.0, 0.5, 0.5],
+        [0.0, 0.5, 0.5, 2.0, 0.5],
+        [0.0, 0.0, 0.5, 0.5, 1.0],
+    ]
+)
+IV5 = np.array([0.50, 0.45, 0.40, 0.30, 0.20])
+
+
 def moments(mean, cov, window=30) -> MomentEstimate:
     return MomentEstimate(mean=np.asarray(mean, float), covariance=np.asarray(cov, float), window=window)
+
+
+def polytope_vertices(n, lower, upper, ivs=None, cap=None) -> list[np.ndarray]:
+    """Vertices of {lower <= w <= upper, sum(w) = 1, ivs.w <= cap} in R^n:
+    every choice of n-1 active inequalities that, with the budget, pins a
+    unique point inside the set."""
+    rows = [(np.eye(n)[i], bound) for i in range(n) for bound in (lower, upper)]
+    if cap is not None:
+        rows.append((np.asarray(ivs, float), cap))
+    found = []
+    for active in itertools.combinations(rows, n - 1):
+        matrix = np.vstack([np.ones(n)] + [row for row, _ in active])
+        if abs(np.linalg.det(matrix)) < 1e-12:
+            continue
+        point = np.linalg.solve(matrix, np.array([1.0] + [rhs for _, rhs in active]))
+        inside = np.all(point >= lower - 1e-12) and np.all(point <= upper + 1e-12)
+        if inside and (cap is None or float(np.dot(ivs, point)) <= cap + 1e-12):
+            found.append(point)
+    return found
+
+
+def assert_feasible(weights, lower, upper, ivs=None, cap=None) -> None:
+    weights = np.asarray(weights)
+    assert np.all(np.isfinite(weights))
+    assert np.all(weights >= lower - 1e-12) and np.all(weights <= upper + 1e-12)
+    assert abs(weights.sum() - 1.0) <= 1e-8
+    if cap is not None:
+        assert float(ivs @ weights) <= cap + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +437,94 @@ class TestSolveBoxConstrained:
             solve_box_constrained(
                 moments(MU6, COV6), PortfolioConstraints(), risk_aversion=-1.0
             )
+
+
+class TestBindingCapOnFiveMinuteReturns:
+    """A binding cap with a 1e4 gradient step once made every projection
+    run out its iteration budget, so PGD never met its KKT residual."""
+
+    def count_projections(self, monkeypatch) -> list[int]:
+        calls = []
+        real = optimizer._project
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "_project", counted)
+        return calls
+
+    def test_binding_cap_converges_in_few_projections(self, monkeypatch):
+        calls = self.count_projections(monkeypatch)
+        result = solve_box_constrained(
+            moments(MU5, COV5), PortfolioConstraints(iv_cap=0.40), ivs=IV5
+        )
+        weights = result.as_array()
+        assert_feasible(weights, 0.01, 0.40, IV5, 0.40)
+        assert float(IV5 @ weights) == pytest.approx(0.40, abs=1e-9)
+        # Start, then one residual and one step projection per PGD
+        # iteration, then the final residual: at most 10 iterations.
+        assert len(calls) <= 22
+        # No feasible vertex beats the solution.
+        def utility(w):
+            return float(MU5 @ w - w @ COV5 @ w)
+
+        best_vertex = max(
+            utility(v) for v in polytope_vertices(5, 0.01, 0.40, IV5, 0.40)
+        )
+        assert utility(weights) >= best_vertex - 1e-12
+
+    def test_floor_just_above_cap_returns_finite_weights(self, monkeypatch):
+        constraints = PortfolioConstraints()
+        floor = minimum_attainable_iv(constraints, IV5)
+        cap = floor - 5e-13
+        assert floor > cap and floor <= cap + 1e-12
+        calls = self.count_projections(monkeypatch)
+        result = solve_box_constrained(
+            moments(MU5, COV5), PortfolioConstraints(iv_cap=cap), ivs=IV5
+        )
+        assert_feasible(result.weights, 0.01, 0.40)
+        assert float(IV5 @ result.as_array()) == pytest.approx(floor, abs=1e-12)
+        assert len(calls) <= 22
+
+
+@st.composite
+def projection_problems(draw):
+    n = draw(st.integers(min_value=2, max_value=5))
+    lower = draw(st.floats(0.0, 0.95)) / n
+    upper = min(1.0, draw(st.floats(1.05, float(n))) / n)
+    coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+    y = np.array(draw(st.lists(coordinate, min_size=n, max_size=n)))
+    # IVs on a 0.01 grid: ties are exact or at least 0.01 apart. IVs a
+    # rounding error apart make the cap's normal parallel to the budget's
+    # within float precision, where neither the projection nor a vertex
+    # oracle with tolerances can tell a feasible point from an infeasible one.
+    ivs = np.array(draw(st.lists(st.integers(5, 100), min_size=n, max_size=n))) / 100.0
+    floor = minimum_attainable_iv(PortfolioConstraints(lower=lower, upper=upper), ivs)
+    cap = floor + draw(st.floats(0.0, 1.0)) * (float(ivs.max()) - floor)
+    return y, lower, upper, ivs, cap
+
+
+class TestProjection:
+    @settings(max_examples=300, deadline=None)
+    @given(projection_problems())
+    def test_capped_projection_satisfies_the_variational_inequality(self, problem):
+        y, lower, upper, ivs, cap = problem
+        w = optimizer._project(y, lower, upper, ivs, cap)
+        assert_feasible(w, lower, upper, ivs, cap)
+        vertices = polytope_vertices(len(y), lower, upper, ivs, cap)
+        assert vertices
+        for v in vertices:
+            assert float((y - w) @ (v - w)) <= 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(projection_problems())
+    def test_uncapped_projection_satisfies_the_variational_inequality(self, problem):
+        y, lower, upper, _, _ = problem
+        w = optimizer._project(y, lower, upper, None, None)
+        assert_feasible(w, lower, upper)
+        for v in polytope_vertices(len(y), lower, upper):
+            assert float((y - w) @ (v - w)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

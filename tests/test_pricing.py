@@ -115,6 +115,11 @@ def test_degenerate_probability_rejected():
     ("maturity", 0.0),
     ("volatility", 0.0),
     ("steps", 0),
+    ("spot", float("nan")),
+    ("strike", float("nan")),
+    ("strike", float("inf")),
+    ("maturity", float("inf")),
+    ("volatility", float("nan")),
 ])
 def test_invalid_inputs_rejected(field, value):
     with pytest.raises(InvalidConfig):
