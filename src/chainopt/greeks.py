@@ -1,16 +1,19 @@
 """American-option Greeks on the binomial lattice.
 
-Delta comes from a discrete early-exercise decomposition rather than a
-spot bump: in the stopping region it is the payoff derivative, and in
-the continuation region it is a discounted weighted expectation over
-the first lattice step,
+greek_set reads delta, gamma and theta off the first two steps of one
+lattice (Pelsser and Vorst, 1994). Delta comes from a discrete
+early-exercise decomposition rather than a spot bump: in the stopping
+region it is the payoff derivative, and otherwise it is a discounted
+weighted expectation over the first lattice step,
 
     delta = e^{-r dt} / (s sigma dt) * E[ V(s e^{sigma eps}, dt) * (eps - mu dt) ]
 
 with eps = +sqrt(dt) with probability q_rn and -sqrt(dt) otherwise,
-and mu = (r - q - sigma^2/2)/sigma. Gamma, theta, vega, and rho are
-finite differences of full re-pricings; a finite-difference delta is
-kept as a cross-check.
+and mu = (r - q - sigma^2/2)/sigma. Gamma is the second divided
+difference over the three step-2 nodes, and theta the change from the
+root to the middle one, which sits at the root's spot since u*d = 1.
+Vega and rho reprice; the bumped delta_fd, gamma_fd and theta_fd are
+kept as cross-checks.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ def _payoff_slope(inputs: PricingInputs) -> float:
     return -1.0 if inputs.spot < inputs.strike else 0.0
 
 
-def _lattice_delta(lattice: Lattice, region: Region) -> float:
+def _lattice_delta(lattice: Lattice, region: Region | None) -> float:
     inputs = lattice.inputs
     if region is Region.STOPPING:
         return _payoff_slope(inputs)
@@ -134,16 +137,16 @@ def delta_fd(inputs: PricingInputs, bump: float = DELTA_BUMP) -> float:
 
 
 def gamma_fd(inputs: PricingInputs, bump: float = GAMMA_BUMP) -> float:
-    """Second central difference in spot, relative bump."""
-    return _gamma(inputs, bump, None)
+    """Second central difference in spot, relative bump.
 
-
-def _gamma(inputs: PricingInputs, bump: float, mid: float | None) -> float:
+    A cross-check on greek_set's gamma. The tree price is piecewise
+    linear in spot with kinks a factor u^2 apart, so a bump near that
+    spacing reads 0 or a multiple of gamma; it must span several kinks.
+    """
     if bump <= 0.0:
         raise InvalidBump(f"spot bump must be > 0, got {bump}")
     up = price_option(inputs.replace(spot=inputs.spot * (1.0 + bump)))
-    if mid is None:
-        mid = price_option(inputs)
+    mid = price_option(inputs)
     down = price_option(inputs.replace(spot=inputs.spot * (1.0 - bump)))
     step = inputs.spot * bump
     return (up - 2.0 * mid + down) / (step * step)
@@ -155,12 +158,9 @@ def theta_fd(inputs: PricingInputs, dt_bump: float = THETA_BUMP) -> float:
     Shortening the remaining life stands in for advancing the clock, so
     the result is negative wherever the option loses value with time.
     A central difference would extend maturity, which has no calendar
-    meaning for a listed contract.
+    meaning for a listed contract. A cross-check on greek_set's theta,
+    whose accuracy depends on the bump relative to the node spacing.
     """
-    return _theta(inputs, dt_bump, None)
-
-
-def _theta(inputs: PricingInputs, dt_bump: float, base: float | None) -> float:
     if dt_bump <= 0.0:
         raise InvalidBump(f"time bump must be > 0, got {dt_bump}")
     if dt_bump >= inputs.time_to_maturity:
@@ -170,9 +170,7 @@ def _theta(inputs: PricingInputs, dt_bump: float, base: float | None) -> float:
     shortened = price_option(
         inputs.replace(time_to_maturity=inputs.time_to_maturity - dt_bump)
     )
-    if base is None:
-        base = price_option(inputs)
-    return (shortened - base) / dt_bump
+    return (shortened - price_option(inputs)) / dt_bump
 
 
 def vega_fd(inputs: PricingInputs, vol_bump: float = VEGA_BUMP) -> float:
@@ -198,24 +196,24 @@ def rho_fd(inputs: PricingInputs, rate_bump: float = RHO_BUMP) -> float:
 
 
 def greek_set(inputs: PricingInputs) -> GreekSet:
-    """All five Greeks at default bumps, and the exercise region.
+    """All five Greeks, and the exercise region.
 
-    One lattice gives the base price for gamma and theta and, for
-    American contracts, the early-exercise-aware delta and the region.
-    European contracts use the finite-difference delta and have no
-    region, since the stopping or continuation split does not apply.
+    Delta, gamma and theta come off one lattice's first two steps, so
+    steps >= 2. European contracts have no region and take the
+    continuation delta. Vega and rho reprice at the default bumps.
     """
+    if inputs.steps < 2:
+        raise InvalidConfig(f"steps must be >= 2 for lattice Greeks, got {inputs.steps}")
     lattice = build_lattice(inputs)
-    if inputs.exercise is Exercise.AMERICAN:
-        region = _root_region(lattice)
-        delta = _lattice_delta(lattice, region)
-    else:
-        region = None
-        delta = delta_fd(inputs)
+    region = _root_region(lattice) if inputs.exercise is Exercise.AMERICAN else None
+    low, mid, high = lattice.node_values[2].tolist()
+    s_low, s_mid, s_high = lattice.spot_grid(2).tolist()
+    slope_up = (high - mid) / (s_high - s_mid)
+    slope_down = (mid - low) / (s_mid - s_low)
     return GreekSet(
-        delta=delta,
-        gamma=_gamma(inputs, GAMMA_BUMP, lattice.root_value),
-        theta=_theta(inputs, THETA_BUMP, lattice.root_value),
+        delta=_lattice_delta(lattice, region),
+        gamma=2.0 * (slope_up - slope_down) / (s_high - s_low),
+        theta=(mid - lattice.root_value) / (2.0 * lattice.dt),
         vega=vega_fd(inputs),
         rho=rho_fd(inputs),
         region=region,

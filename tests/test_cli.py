@@ -11,6 +11,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import subprocess
@@ -23,6 +24,12 @@ import pytest
 import chainopt
 from chainopt.cli import RunConfig, load_config_file, main, make_config
 from chainopt.errors import InvalidConfig
+from chainopt.market_data import (
+    GeneratorConfig,
+    generate_synthetic_chain,
+    write_option_chain,
+    write_spot_series,
+)
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -367,6 +374,46 @@ class TestGreeksCommand:
         for row in rows:
             assert row[8] in ("stopping", "continuation")
             assert -1.0 <= float(row[3]) <= 1.0
+
+    def test_one_lattice_step_exits_1_naming_steps(self, capsys, tmp_path, data_dir):
+        args = chain_args(data_dir, tmp_path) + ["--set", "steps=1"]
+        code, _, err = run_cli(capsys, "greeks", *args)
+        assert code == 1
+        assert "steps" in err
+        assert not (tmp_path / "greeks.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def last_day_dir(tmp_path_factory):
+    """A chain whose first expiry has less than one day of life left."""
+    root = tmp_path_factory.mktemp("cli_last_day")
+    config = GeneratorConfig(
+        maturities=(1.0 / 365.0, 0.25), bars=2, bar_interval_seconds=300, steps=200
+    )
+    chain = generate_synthetic_chain(config, 0)
+    write_option_chain(chain.records, str(root / "chain.csv"))
+    write_spot_series(chain.spot_series, str(root / "spot.csv"))
+    return root
+
+
+class TestLastDayContracts:
+    def test_greeks_gives_every_converged_row_a_finite_theta(
+        self, capsys, tmp_path, last_day_dir
+    ):
+        code, _, err = run_cli(capsys, "greeks", *chain_args(last_day_dir, tmp_path))
+        assert code == 0, err
+        _, rows = read_rows(tmp_path / "greeks.csv")
+        converged = [row for row in rows if row[2]]
+        # SYN240103...: the contracts that expire the day after the first bar.
+        assert any(row[0].startswith("SYN240103") for row in converged)
+        assert all(math.isfinite(float(row[5])) for row in converged)
+
+    def test_select_by_theta(self, capsys, tmp_path, last_day_dir):
+        args = chain_args(last_day_dir, tmp_path, metric="theta", k=2)
+        code, _, err = run_cli(capsys, "select", *args)
+        assert code == 0, err
+        _, rows = read_rows(tmp_path / "select.csv")
+        assert len(rows) == 2 * (2 + 2)  # two bars, k top and k bottom each
 
 
 class TestSelectCommand:

@@ -8,12 +8,16 @@ T=1, r=0.05, q=0, sigma=0.2, before the lattice code was written.
 from __future__ import annotations
 
 import itertools
+import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import chainopt.greeks as greeks_module
 from chainopt.errors import (
     BumpExceedsMaturity,
+    DegenerateProbability,
     InvalidBump,
     InvalidConfig,
     NegativeVolAfterBump,
@@ -345,14 +349,13 @@ def test_greek_set_matches_the_single_greeks():
         if inputs.exercise is Exercise.AMERICAN:
             assert greeks.delta == delta_ms(inputs)
         else:
-            assert greeks.delta == delta_fd(inputs)
-        assert greeks.gamma == gamma_fd(inputs)
-        assert greeks.theta == theta_fd(inputs)
+            assert greeks.delta == pytest.approx(delta_fd(inputs), abs=DELTA_TOL)
         assert greeks.vega == vega_fd(inputs)
         assert greeks.rho == rho_fd(inputs)
 
 
-def test_american_greek_set_builds_one_lattice_and_seven_prices(monkeypatch):
+@pytest.mark.parametrize("exercise", list(Exercise))
+def test_greek_set_builds_one_lattice_and_four_prices(monkeypatch, exercise):
     calls = {"build_lattice": 0, "price_option": 0}
     for name in calls:
         real = getattr(greeks_module, name)
@@ -362,5 +365,112 @@ def test_american_greek_set_builds_one_lattice_and_seven_prices(monkeypatch):
             return real(inputs)
 
         monkeypatch.setattr(greeks_module, name, counted)
-    greek_set(american(steps=50, contract_type=ContractType.PUT))
-    assert calls == {"build_lattice": 1, "price_option": 7}
+    greek_set(make_inputs(steps=50, contract_type=ContractType.PUT, exercise=exercise))
+    assert calls == {"build_lattice": 1, "price_option": 4}
+
+
+def test_greek_set_needs_two_lattice_steps():
+    with pytest.raises(InvalidConfig, match="steps"):
+        greek_set(american(steps=1))
+
+
+def norm_cdf(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+def black_scholes_greeks(inputs):
+    """Closed-form (delta, gamma, theta) of a European option, theta per year."""
+    s, k, t = inputs.spot, inputs.strike, inputs.time_to_maturity
+    r, q, sigma = inputs.rate, inputs.dividend_yield, inputs.volatility
+    root_t = math.sqrt(t)
+    d1 = (math.log(s / k) + (r - q + 0.5 * sigma * sigma) * t) / (sigma * root_t)
+    d2 = d1 - sigma * root_t
+    pdf = math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    disc_s, disc_k = s * math.exp(-q * t), k * math.exp(-r * t)
+    gamma = math.exp(-q * t) * pdf / (s * sigma * root_t)
+    decay = -disc_s * pdf * sigma / (2.0 * root_t)
+    if inputs.contract_type is ContractType.CALL:
+        theta = decay - r * disc_k * norm_cdf(d2) + q * disc_s * norm_cdf(d1)
+        return math.exp(-q * t) * norm_cdf(d1), gamma, theta
+    theta = decay + r * disc_k * norm_cdf(-d2) - q * disc_s * norm_cdf(-d1)
+    return -math.exp(-q * t) * norm_cdf(-d1), gamma, theta
+
+
+# Without a dividend an American call is never exercised early, so it
+# shares the European closed form.
+@pytest.mark.parametrize(
+    "kind, exercise",
+    [
+        (ContractType.CALL, Exercise.AMERICAN),
+        (ContractType.CALL, Exercise.EUROPEAN),
+        (ContractType.PUT, Exercise.EUROPEAN),
+    ],
+)
+def test_greek_set_matches_black_scholes(kind, exercise):
+    for strike, maturity, sigma in itertools.product(
+        [90.0, 95.0, 100.0, 105.0, 110.0], [0.25, 0.5, 1.0], [0.2, 0.35, 0.5]
+    ):
+        inputs = make_inputs(
+            strike=strike,
+            maturity=maturity,
+            volatility=sigma,
+            steps=500,
+            contract_type=kind,
+            exercise=exercise,
+        )
+        greeks = greek_set(inputs)
+        delta, gamma, theta = black_scholes_greeks(inputs)
+        assert greeks.delta == pytest.approx(delta, abs=1e-3)
+        assert greeks.gamma == pytest.approx(gamma, rel=0.01)
+        assert greeks.theta == pytest.approx(theta, rel=0.01)
+
+
+def test_greek_set_in_the_stopping_region():
+    greeks = greek_set(american(spot=60.0, steps=500, contract_type=ContractType.PUT))
+    assert greeks.region is Region.STOPPING
+    assert greeks.delta == -1.0
+    assert greeks.gamma == pytest.approx(0.0, abs=1e-8)
+    assert greeks.theta == 0.0
+
+
+@st.composite
+def parity_cases(draw):
+    spot = draw(st.floats(20.0, 500.0))
+    return dict(
+        spot=spot,
+        strike=spot * draw(st.floats(0.5, 2.0)),
+        maturity=draw(st.floats(0.05, 2.0)),
+        rate=draw(st.floats(0.0, 0.1)),
+        dividend_yield=draw(st.floats(0.0, 0.1)),
+        volatility=draw(st.floats(0.1, 1.0)),
+        steps=draw(st.integers(2, 400)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_cases())
+def test_lattice_greeks_keep_european_put_call_parity(case):
+    # Call minus put is the forward S e^{-q tau} - K e^{-r tau} at every
+    # node: linear in spot, so the gammas agree and the thetas differ by
+    # the forward's change over the first two steps.
+    try:
+        call, put = (
+            greek_set(make_inputs(contract_type=kind, **case)) for kind in ContractType
+        )
+    except DegenerateProbability:
+        assume(False)
+    spot, strike, maturity = case["spot"], case["strike"], case["maturity"]
+    rate, dividend_yield = case["rate"], case["dividend_yield"]
+    dt = maturity / case["steps"]
+
+    def forward(tau):
+        return spot * math.exp(-dividend_yield * tau) - strike * math.exp(-rate * tau)
+
+    assert abs(call.gamma - put.gamma) <= 1e-9
+    # Node values carry rounding of about eps * (S + K), which the 2 dt
+    # divisor magnifies; the absolute floor covers a near-zero forward drift.
+    assert call.theta - put.theta == pytest.approx(
+        (forward(maturity - 2.0 * dt) - forward(maturity)) / (2.0 * dt),
+        rel=1e-8,
+        abs=1e-12 * (spot + strike) / dt,
+    )
