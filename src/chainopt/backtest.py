@@ -32,7 +32,7 @@ from .errors import (
     InvalidConfig,
     NonPositiveMid,
 )
-from .market_data import YEAR_SECONDS, ReportEntry, atomic_write
+from .market_data import YEAR_SECONDS, ReportEntry, atomic_write, write_table
 from .optimizer import (
     CASH_ID,
     PortfolioConstraints,
@@ -531,21 +531,24 @@ def write_report_bundle(report: BacktestReport, out_dir: str) -> None:
         "events": list(report.events),
         "generated_at": datetime.now(timezone.utc).isoformat(),
     }
-    equity_lines = ["timestamp,equity"]
-    for ts, value in zip(report.timestamps, report.equity_curve):
-        equity_lines.append(f"{ts.isoformat()},{value!r}")
-    weight_lines = ["timestamp,ric,weight"]
-    for ts, decision in report.weights_history:
-        for ric, weight in zip(decision.universe, decision.weights):
-            if ric != CASH_ID:
-                weight_lines.append(f"{ts.isoformat()},{ric},{weight!r}")
-
-    files = {
+    texts = {
         "report.json": json.dumps(payload, indent=2) + "\n",
-        "equity.csv": "\n".join(equity_lines) + "\n",
-        "weights.csv": "\n".join(weight_lines) + "\n",
         "events.log": "".join(line + "\n" for line in report.events),
     }
-    for name, text in files.items():
+    equity_rows = (
+        [ts.isoformat(), repr(value)]
+        for ts, value in zip(report.timestamps, report.equity_curve)
+    )
+    weight_rows = (
+        [ts.isoformat(), ric, repr(weight)]
+        for ts, decision in report.weights_history
+        for ric, weight in zip(decision.universe, decision.weights)
+        if ric != CASH_ID
+    )
+    for name, text in texts.items():
         path = os.path.join(out_dir, name)
         atomic_write(path, lambda temp, text=text: Path(temp).write_text(text))
+    write_table(os.path.join(out_dir, "equity.csv"), ["timestamp", "equity"], equity_rows)
+    write_table(
+        os.path.join(out_dir, "weights.csv"), ["timestamp", "ric", "weight"], weight_rows
+    )

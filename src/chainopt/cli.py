@@ -16,7 +16,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -65,6 +64,7 @@ from .market_data import (
     write_option_chain,
     write_report,
     write_spot_series,
+    write_table,
 )
 from .optimizer import (
     KINDS,
@@ -164,7 +164,6 @@ class RunConfig:
     sigma_high: float = 0.5
     half_spread: float = 0.0
     illiquid_fraction: float = 0.0
-    debug_steps: int | None = None
 
     def validate(self) -> None:
         for spec in fields(self):
@@ -209,10 +208,6 @@ class RunConfig:
                 "illiquid_fraction must be in [0, 1]",
             ),
             (self.dividend_yield >= 0.0, "dividend_yield must be >= 0"),
-            (
-                self.debug_steps is None or self.debug_steps >= 1,
-                "debug_steps must be >= 1",
-            ),
         )
         for ok, message in checks:
             if not ok:
@@ -396,21 +391,13 @@ def _quotes_by_bar(quotes: Sequence[EnrichedQuote]) -> dict[datetime, list[Enric
     return dict(sorted(grouped.items()))
 
 
-def _write_rows(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    atomic_write(path, lambda temp: Path(temp).write_text("\n".join(lines) + "\n"))
-
-
 def _out_path(config: RunConfig, name: str) -> str:
     os.makedirs(config.out_dir, exist_ok=True)
     return os.path.join(config.out_dir, name)
 
 
 def _write_exclusions(config: RunConfig, entries: Sequence[ReportEntry]) -> None:
-    atomic_write(
-        _out_path(config, "exclusions.csv"), lambda temp: write_report(entries, temp)
-    )
+    write_report(entries, _out_path(config, "exclusions.csv"))
 
 
 def _write_table(
@@ -422,7 +409,7 @@ def _write_table(
 ) -> int:
     """Write a command's one output table and its exclusions."""
     path = _out_path(config, name)
-    _write_rows(path, header, rows)
+    write_table(path, header, rows)
     _write_exclusions(config, exclusions)
     print(f"wrote {path} ({len(rows)} rows)")
     return EXIT_OK
@@ -707,7 +694,7 @@ def cmd_synth(config: RunConfig) -> int:
     atomic_write(chain_path, lambda temp: write_option_chain(chain.records, temp))
     atomic_write(spot_path, lambda temp: write_spot_series(chain.spot_series, temp))
     truth_rows = [[ric, repr(sigma)] for ric, sigma in sorted(chain.true_sigma.items())]
-    _write_rows(_out_path(config, "truth.csv"), ["ric", "sigma"], truth_rows)
+    write_table(_out_path(config, "truth.csv"), ["ric", "sigma"], truth_rows)
     print(f"wrote {chain_path} ({len(chain.records)} rows)")
     return EXIT_OK
 
@@ -860,8 +847,7 @@ def _selfchecks(steps: int) -> list[tuple[str, Callable[[], bool]]]:
 
 def cmd_selfcheck(config: RunConfig) -> int:
     """Run the embedded oracle suite and print one line per check."""
-    steps = config.debug_steps if config.debug_steps is not None else 500
-    checks = _selfchecks(steps)
+    checks = _selfchecks(config.steps)
     failures = 0
     for name, check in checks:
         try:
@@ -914,12 +900,6 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override any config key; repeatable",
         )
-        if name == "selfcheck":
-            sub.add_argument(
-                "--debug-steps",
-                type=int,
-                help="force the lattice step count for the model checks",
-            )
     return parser
 
 
@@ -935,8 +915,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         overrides["out_dir"] = args.out
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    if getattr(args, "debug_steps", None) is not None:
-        overrides["debug_steps"] = str(args.debug_steps)
     return make_config(file_values, overrides)
 
 

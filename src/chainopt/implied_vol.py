@@ -6,7 +6,9 @@ finite difference in volatility. Bare Newton diverges where vega is
 near zero (deep ITM or OTM), so every evaluation also maintains a
 bisection bracket: a Newton step is rejected in favor of a bisection
 step when vega falls below a floor, when the step leaves the allowed
-volatility range, or when it fails to reduce |f|.
+volatility range, or when it fails to reduce |f|. Newton candidates,
+bisection midpoints and the seed all go through one probe step: one
+full-size price, the bracket update and the best-iterate update.
 
 Prices during iteration are computed at the caller's full step count;
 only the derivative uses a coarser tree, which has no effect on the
@@ -29,6 +31,11 @@ SIGMA_MIN = 1e-4
 SIGMA_MAX = 5.0
 SEED_LOW = 0.05
 SEED_HIGH = 1.0
+# A Newton step needs at least this much vega; below it, bisect.
+VEGA_FLOOR = 1e-8
+# Coarser tree for the derivative only; full-size trees everywhere else.
+DERIVATIVE_STEPS = 200
+DERIVATIVE_BUMP = 1e-3
 
 
 class SolveMethod(str, Enum):
@@ -44,10 +51,6 @@ class SolverOptions:
     price_tolerance: float = 1e-6
     step_tolerance: float = 1e-8
     max_iterations: int = 100
-    vega_floor: float = 1e-8
-    # Coarser tree for the derivative only; full-size trees everywhere else.
-    derivative_steps: int = 200
-    derivative_bump: float = 1e-3
 
 
 @dataclass(frozen=True)
@@ -83,22 +86,21 @@ def _no_arbitrage_bounds(inputs: PricingInputs) -> tuple[float, float]:
     return lower, upper
 
 
-def _reduced_vega(inputs: PricingInputs, sigma: float, opts: SolverOptions) -> float:
+def _reduced_vega(inputs: PricingInputs, sigma: float) -> float:
     """Central-difference vega on the coarse derivative tree.
 
     Treats an unusable point (bump crossing zero, degenerate lattice)
     as zero vega so the caller falls back to bisection.
     """
-    bump = opts.derivative_bump
-    if sigma - bump <= 0.0:
+    if sigma - DERIVATIVE_BUMP <= 0.0:
         return 0.0
-    coarse = inputs.replace(steps=min(inputs.steps, opts.derivative_steps))
+    coarse = inputs.replace(steps=min(inputs.steps, DERIVATIVE_STEPS))
     try:
-        up = price_option(coarse.replace(volatility=sigma + bump))
-        down = price_option(coarse.replace(volatility=sigma - bump))
+        up = price_option(coarse.replace(volatility=sigma + DERIVATIVE_BUMP))
+        down = price_option(coarse.replace(volatility=sigma - DERIVATIVE_BUMP))
     except DegenerateProbability:
         return 0.0
-    return (up - down) / (2.0 * bump)
+    return (up - down) / (2.0 * DERIVATIVE_BUMP)
 
 
 def implied_vol(
@@ -114,33 +116,46 @@ def implied_vol(
     iteration cap is reached the best iterate is returned with
     ``converged=False`` rather than raising.
     """
+    if market_price <= opts.price_tolerance:
+        raise ArbitrageViolation(
+            f"market price {market_price} is at or below the price tolerance "
+            f"{opts.price_tolerance}: every low enough volatility prices within "
+            "tolerance of it, so none is implied"
+        )
     lower, upper = _no_arbitrage_bounds(inputs)
-    if market_price <= 0.0 or market_price <= lower or market_price >= upper:
+    if market_price <= lower or market_price >= upper:
         raise ArbitrageViolation(
             f"market price {market_price} outside static bounds "
             f"({lower:.6g}, {upper:.6g}) for this contract"
         )
 
-    def residual(sigma: float) -> float | None:
-        # None marks a lattice too coarse for this volatility; the
-        # price is effectively pinned low, so treat it as f < 0.
-        try:
-            return price_option(inputs.replace(volatility=sigma)) - market_price
-        except DegenerateProbability:
-            return None
-
     lo, hi = SIGMA_MIN, SIGMA_MAX
     x = initial_guess(market_price, inputs)
+    best_x, best_f = x, math.inf
+    iterations = 0
+
+    def probe(sigma: float) -> float | None:
+        """One full-size price at sigma: returns its residual, narrows the
+        bracket and keeps the best iterate. None marks a lattice too
+        coarse for this volatility; the price is effectively pinned low,
+        so it counts as f < 0."""
+        nonlocal lo, hi, best_x, best_f, iterations
+        iterations += 1
+        try:
+            f = price_option(inputs.replace(volatility=sigma)) - market_price
+        except DegenerateProbability:
+            f = None
+        if f is None or f < 0.0:
+            lo = max(lo, sigma)
+        else:
+            hi = min(hi, sigma)
+        if f is not None and abs(f) < best_f:
+            best_x, best_f = sigma, abs(f)
+        return f
+
+    f = probe(x)
     used_newton = False
     used_bisection = False
-
-    f = residual(x)
-    iterations = 1
-    if f is None or f < 0.0:
-        lo = x
-    else:
-        hi = x
-    best_x, best_f = x, math.inf if f is None else abs(f)
 
     def method_label() -> SolveMethod:
         if used_newton and used_bisection:
@@ -155,53 +170,30 @@ def implied_vol(
         if iterations >= opts.max_iterations:
             return IvSolution(best_x, iterations, False, method_label())
 
-        # Propose a Newton step from the current iterate.
-        candidate = None
+        # Take a Newton step from the current iterate if it lands in range
+        # and reduces |f|; otherwise bisect the bracket.
+        step = None
         if f is not None:
-            vega = _reduced_vega(inputs, x, opts)
-            if vega >= opts.vega_floor:
+            vega = _reduced_vega(inputs, x)
+            if vega >= VEGA_FLOOR:
                 step = x - f / vega
-                if SIGMA_MIN <= step <= SIGMA_MAX:
-                    candidate = step
-
-        moved_by_newton = False
-        if candidate is not None:
-            f_cand = residual(candidate)
-            iterations += 1
-            if f_cand is None or f_cand < 0.0:
-                lo = max(lo, candidate)
-            else:
-                hi = min(hi, candidate)
-            if f_cand is not None and abs(f_cand) < best_f:
-                best_x, best_f = candidate, abs(f_cand)
-            if f_cand is not None and abs(f_cand) < abs(f):
-                step_size = abs(candidate - x)
-                x, f = candidate, f_cand
-                used_newton = True
-                moved_by_newton = True
-                if step_size <= opts.step_tolerance:
-                    converged = abs(f) <= opts.price_tolerance
-                    return IvSolution(x, iterations, converged, method_label())
-            # Rejected steps still updated the bracket above.
-
-        if not moved_by_newton:
+        f_step = None
+        if step is not None and SIGMA_MIN <= step <= SIGMA_MAX:
+            f_step = probe(step)
+        if f_step is not None and abs(f_step) < abs(f):
+            used_newton = True
+        else:
+            # A rejected Newton probe still narrowed the bracket.
             if iterations >= opts.max_iterations:
                 return IvSolution(best_x, iterations, False, method_label())
-            midpoint = 0.5 * (lo + hi)
-            f_mid = residual(midpoint)
-            iterations += 1
+            step = 0.5 * (lo + hi)
+            f_step = probe(step)
             used_bisection = True
-            if f_mid is None or f_mid < 0.0:
-                lo = midpoint
-            else:
-                hi = midpoint
-            if f_mid is not None and abs(f_mid) < best_f:
-                best_x, best_f = midpoint, abs(f_mid)
-            step_size = abs(midpoint - x)
-            x, f = midpoint, f_mid
-            if step_size <= opts.step_tolerance:
-                converged = f is not None and abs(f) <= opts.price_tolerance
-                return IvSolution(x, iterations, converged, method_label())
+        step_size = abs(step - x)
+        x, f = step, f_step
+        if step_size <= opts.step_tolerance:
+            converged = f is not None and abs(f) <= opts.price_tolerance
+            return IvSolution(x, iterations, converged, method_label())
 
 
 def portfolio_iv(weights, ivs: Sequence[float]) -> float:

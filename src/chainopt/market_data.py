@@ -741,9 +741,21 @@ def write_spot_series(series: Sequence[tuple[datetime, float]], path: str) -> No
             writer.writerow([timestamp.isoformat(), _format_price(value)])
 
 
+def write_table(
+    path: str, header: Sequence[str], rows: Iterable[Sequence[str]]
+) -> None:
+    """Write a header and rows to path atomically, as CSV with Unix line
+    ends; a field holding a comma or a quote is quoted."""
+
+    def write(temp_path: str) -> None:
+        with open(temp_path, "w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    atomic_write(path, write)
+
+
 def write_report(entries: Sequence[ReportEntry], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["ric", "reason", "detail"])
-        for entry in entries:
-            writer.writerow([entry.ric, entry.reason, entry.detail])
+    rows = ([entry.ric, entry.reason, entry.detail] for entry in entries)
+    write_table(path, ["ric", "reason", "detail"], rows)

@@ -4,9 +4,11 @@ The lattice is a recombining Cox-Ross-Rubinstein tree: up factor
 u = exp(sigma*sqrt(dt)), down factor d = 1/u, and risk-neutral up
 probability q_rn = (exp((r - q)*dt) - d)/(u - d). Backward induction
 applies the early-exercise comparison at every node for American
-contracts. A closed-form European price is included as an independent
-convergence reference; it is never used as a pricing substitute for
-American contracts.
+contracts. build_lattice is the only induction loop: it keeps the first
+three steps, which the Greeks read, and price_option is its root value.
+A closed-form European price is included as an independent convergence
+reference; it is never used as a pricing substitute for American
+contracts.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .errors import DegenerateProbability, InvalidConfig, NotEuropean
 DEFAULT_STEPS = 500
 
 SQRT_TWO = math.sqrt(2.0)
+
+# Deepest step a Lattice keeps: the Greeks read steps 0 to 2 only.
+RETAINED_STEP = 2
 
 
 class ContractType(str, Enum):
@@ -90,11 +95,12 @@ class PricingInputs:
 
 @dataclass(frozen=True)
 class Lattice:
-    """A solved tree: parameters plus every intermediate node value.
+    """A solved tree: parameters plus the node values of its first steps.
 
-    node_values[i] is the length-(i+1) array of option values at step i,
-    ordered from the lowest spot node to the highest. For American
-    exercise these are already max(intrinsic, continuation).
+    node_values[i], for i from 0 to min(2, steps), is the length-(i+1)
+    array of option values at step i, ordered from the lowest spot node
+    to the highest. For American exercise these are already
+    max(intrinsic, continuation). Deeper steps are not kept.
     """
 
     steps: int
@@ -146,14 +152,14 @@ def _tree_parameters(inputs: PricingInputs) -> tuple[float, float, float, float,
     return dt, u, d, q_rn, discount
 
 
-def _backward_induction(inputs: PricingInputs, retain_levels: bool) -> Lattice:
+def build_lattice(inputs: PricingInputs) -> Lattice:
     """Solve the tree by backward induction.
 
     Terminal values are the payoffs at the N+1 terminal spots; each
     earlier node is the discounted risk-neutral expectation of its two
-    successors, floored at intrinsic value for American exercise. Without
-    retain_levels the steps share two reused buffers and node_values
-    holds the root step only.
+    successors, floored at intrinsic value for American exercise. The
+    steps share two reused buffers, and steps 0 to min(2, N) are copied
+    out as they pass.
     """
     params = _tree_parameters(inputs)
     _, u, _, q_rn, discount = params
@@ -165,35 +171,29 @@ def _backward_induction(inputs: PricingInputs, retain_levels: bool) -> Lattice:
     powers = inputs.spot * u ** np.arange(-n, n + 1, dtype=float)
     intrinsic = _payoff_array(powers, inputs.strike, inputs.contract_type)
 
-    # A copy: without retain_levels this buffer is overwritten by later steps.
+    # Copies throughout: each buffer is overwritten by later steps.
     values = intrinsic[::2].copy()
-    levels = [values]
+    levels = [values.copy()] if n <= RETAINED_STEP else []
     spare = np.empty(n, dtype=float)
     low = np.empty(n, dtype=float)
     for i in range(n - 1, -1, -1):
-        head = np.empty(i + 1, dtype=float) if retain_levels else spare[: i + 1]
+        head = spare[: i + 1]
         np.multiply(values[1:], q_rn, out=head)
         head += np.multiply(values[:-1], 1.0 - q_rn, out=low[: i + 1])
         head *= discount
         if american:
             np.maximum(head, intrinsic[n - i : n + i + 1 : 2], out=head)
-        if retain_levels:
-            levels.append(head)
-        else:
-            spare = values
+        if i <= RETAINED_STEP:
+            levels.append(head.copy())
+        spare = values
         values = head
 
-    return Lattice(n, *params, levels[::-1] if retain_levels else [values], inputs)
-
-
-def build_lattice(inputs: PricingInputs) -> Lattice:
-    """Run backward induction and retain node values at every step."""
-    return _backward_induction(inputs, retain_levels=True)
+    return Lattice(n, *params, levels[::-1], inputs)
 
 
 def price_option(inputs: PricingInputs) -> float:
-    """Root lattice value without retaining intermediate steps."""
-    return _backward_induction(inputs, retain_levels=False).root_value
+    """Root lattice value."""
+    return build_lattice(inputs).root_value
 
 
 def _norm_cdf(x: float) -> float:

@@ -695,6 +695,70 @@ class TestEveryStrategy:
         assert "strategy" in err
 
 
+class TestOutputQuoting:
+    def test_ric_with_a_comma_stays_one_field(self, capsys, tmp_path, data_dir):
+        with open(data_dir / "chain.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        column = rows[0].index("#RIC")
+        original = rows[1][column]
+        quoted = original.replace("SYN", "SYN,", 1)
+        for row in rows[1:]:
+            if row[column] == original:
+                row[column] = quoted
+        chain = tmp_path / "chain.csv"
+        with open(chain, "w", newline="") as handle:
+            csv.writer(handle).writerows(rows)
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "iv", *chain_args(data_dir, out, chain_path=chain))
+        assert code == 0
+        with open(out / "iv.csv", newline="") as handle:
+            table = list(csv.reader(handle))
+        assert {len(row) for row in table} == {7}
+        assert quoted in {row[0] for row in table[1:]}
+
+
+class TestSubToleranceQuotes:
+    """A contract on its last day whose mid is at or below the 1e-6 price
+    tolerance: every low enough volatility prices within tolerance of it,
+    so the solve is rejected rather than reported converged at the seed."""
+
+    @pytest.fixture(scope="class")
+    def last_day_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("last_day")
+        generator = GeneratorConfig(
+            maturities=(1 / 365, 0.25), bars=2, bar_interval_seconds=300, steps=200
+        )
+        chain = generate_synthetic_chain(generator, 0)
+        write_option_chain(chain.records, str(root / "chain.csv"))
+        write_spot_series(chain.spot_series, str(root / "spot.csv"))
+        return root
+
+    def run(self, capsys, command, data, out, **extra):
+        args = chain_args(data, out, **extra)
+        args[args.index("steps=100")] = "steps=200"
+        code, _, _ = run_cli(capsys, command, *args)
+        assert code == 0
+
+    def test_iv_leaves_them_blank_and_unconverged(self, capsys, tmp_path, last_day_dir):
+        self.run(capsys, "iv", last_day_dir, tmp_path)
+        header, rows = read_rows(tmp_path / "iv.csv")
+        mid, iv = header.index("market_mid"), header.index("iv")
+        tiny = [row for row in rows if float(row[mid]) <= 1e-6]
+        assert len(tiny) == 8
+        assert all(row[iv:] == ["", "0", "", "false"] for row in tiny)
+
+    def test_select_reports_them_missing(self, capsys, tmp_path, last_day_dir):
+        self.run(capsys, "select", last_day_dir, tmp_path, metric="delta")
+        _, excluded = read_rows(tmp_path / "exclusions.csv")
+        missing = {row[0] for row in excluded if row[1] == "missing_analytics"}
+        assert missing >= {
+            "SYN240103P00090000",
+            "SYN240103P00092500",
+            "SYN240103C00107500",
+            "SYN240103C00110000",
+        }
+
+
 class TestSelfcheck:
     def test_all_checks_pass_at_default_steps(self, capsys):
         code, out, _ = run_cli(capsys, "selfcheck")
@@ -703,8 +767,8 @@ class TestSelfcheck:
         assert len(passes) >= 10
         assert "FAIL" not in out
 
-    def test_debug_steps_five_fails_convergence(self, capsys):
-        code, out, _ = run_cli(capsys, "selfcheck", "--debug-steps", "5")
+    def test_steps_five_fails_convergence(self, capsys):
+        code, out, _ = run_cli(capsys, "selfcheck", "--set", "steps=5")
         assert code != 0
         assert "lattice_converges_to_closed_form: FAIL" in out
 

@@ -11,6 +11,8 @@ own explicit tests below.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from chainopt.errors import ArbitrageViolation, DimensionMismatch
@@ -164,10 +166,12 @@ def test_iteration_cap_returns_best_iterate_unconverged():
     assert SIGMA_MIN <= solution.sigma <= SIGMA_MAX
 
 
-def test_forced_bisection_still_converges():
+def test_forced_bisection_still_converges(monkeypatch):
+    # The package's implied_vol function shadows the submodule's name.
+    monkeypatch.setattr(sys.modules["chainopt.implied_vol"], "VEGA_FLOOR", 1e9)
     inputs = american(steps=200)
     market = price_option(inputs.replace(volatility=0.30))
-    solution = implied_vol(market, inputs, SolverOptions(vega_floor=1e9))
+    solution = implied_vol(market, inputs)
     assert solution.converged
     assert solution.method is SolveMethod.BISECTION
     assert solution.sigma == pytest.approx(0.30, abs=1e-4)
@@ -197,6 +201,80 @@ def test_deterministic_solution_object():
     second = implied_vol(market, inputs)
     assert first == second
     assert isinstance(first, IvSolution)
+
+
+# One case per way out of the solver, with the IvSolution each returned
+# before its Newton and bisection branches shared one probe step.
+# Columns: strike, T, r, q, steps, type, exercise, market price,
+# (price_tolerance, step_tolerance, max_iterations), expected solution.
+P, C = ContractType.PUT, ContractType.CALL
+AM, EU = Exercise.AMERICAN, Exercise.EUROPEAN
+GOLDEN_SOLUTIONS = {
+    "converged_newton": (
+        100.0, 1.0, 0.05, 0.0, 100, P, AM, 9.855994691335242, (1e-6, 1e-8, 100),
+        IvSolution(0.29999999974453273, 3, True, SolveMethod.NEWTON),
+    ),
+    "converged_after_degenerate_probe": (
+        95.0, 2.0, 0.2, 0.03, 10, P, EU, 3.104599519863484, (1e-12, 1e-15, 100),
+        IvSolution(0.30326664917448665, 11, True, SolveMethod.HYBRID),
+    ),
+    "newton_step_tolerance_converged": (
+        100.0, 2.0, 0.2, 0.03, 100, P, AM, 7.757446715576571, (1e-6, 1e-3, 5),
+        IvSolution(0.3057167357726381, 4, True, SolveMethod.NEWTON),
+    ),
+    "newton_step_tolerance_unconverged": (
+        150.0, 0.5, 0.5, 0.03, 3, C, EU, 49.74260413744109, (1e-12, 1e-3, 8),
+        IvSolution(2.057854707110593, 5, False, SolveMethod.NEWTON),
+    ),
+    "bisection_step_tolerance": (
+        60.0, 0.01, 0.05, 0.0, 50, C, AM, 43.43466141330493, (1e-3, 1e-15, 100),
+        IvSolution(4.999999999999999, 53, False, SolveMethod.BISECTION),
+    ),
+    "cap_after_rejected_newton": (
+        80.0, 0.5, 0.0, 0.0, 2, P, EU, 1.6580717265629994, (1e-6, 1e-3, 5),
+        IvSolution(0.05877711233648292, 5, False, SolveMethod.HYBRID),
+    ),
+    "cap_at_two_iterations": (
+        60.0, 1.0, 0.05, 0.0, 50, P, AM, 0.271004918859215, (1e-3, 1e-15, 2),
+        IvSolution(0.05, 2, False, SolveMethod.BISECTION),
+    ),
+    "cap_after_degenerate_probe": (
+        95.0, 2.0, 0.2, 0.03, 100, P, EU, 0.008164356452588275, (1e-3, 1e-8, 5),
+        IvSolution(0.05, 5, False, SolveMethod.BISECTION),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SOLUTIONS))
+def test_solution_matches_golden(case):
+    strike, maturity, rate, q, steps, kind, exercise, market, opts, expected = (
+        GOLDEN_SOLUTIONS[case]
+    )
+    inputs = make_inputs(
+        strike=strike,
+        maturity=maturity,
+        rate=rate,
+        dividend_yield=q,
+        steps=steps,
+        contract_type=kind,
+        exercise=exercise,
+    )
+    assert implied_vol(market, inputs, SolverOptions(*opts)) == expected
+
+
+def test_price_within_tolerance_of_zero_rejected():
+    # A deep out-of-the-money put: its lattice price at the 0.05 seed is
+    # 0, within the default 1e-6 of either quote, so the seed would
+    # "converge" in one iteration.
+    inputs = american(strike=60.0, maturity=0.1, steps=100, contract_type=ContractType.PUT)
+    with pytest.raises(ArbitrageViolation, match="price tolerance"):
+        implied_vol(5e-7, inputs)
+    with pytest.raises(ArbitrageViolation, match="price tolerance"):
+        implied_vol(1e-6, inputs)
+    # A tighter tolerance makes the same quote identifiable.
+    solution = implied_vol(5e-7, inputs, SolverOptions(price_tolerance=1e-9))
+    assert solution.converged
+    assert abs(price_option(inputs.replace(volatility=solution.sigma)) - 5e-7) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -284,13 +284,16 @@ def test_american_price_at_least_intrinsic():
 
 
 def test_lattice_nodes_dominate_intrinsic():
-    lattice = build_lattice(
-        make_inputs(steps=50, contract_type=ContractType.PUT, exercise=Exercise.AMERICAN)
-    )
-    for step in range(lattice.steps + 1):
-        spots = lattice.spot_grid(step)
-        intrinsic = np.maximum(lattice.inputs.strike - spots, 0.0)
-        assert np.all(lattice.node_values[step] >= intrinsic - 1e-12)
+    for steps in (1, 2, 3, 50, 500):
+        lattice = build_lattice(
+            make_inputs(
+                steps=steps, contract_type=ContractType.PUT, exercise=Exercise.AMERICAN
+            )
+        )
+        assert len(lattice.node_values) == min(steps, 2) + 1
+        for step, values in enumerate(lattice.node_values):
+            intrinsic = np.maximum(lattice.inputs.strike - lattice.spot_grid(step), 0.0)
+            assert np.all(values >= intrinsic - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +338,50 @@ def test_fast_path_matches_retained_lattice():
         assert price_option(inputs) == build_lattice(inputs).root_value
 
 
-def test_lattice_retains_every_step():
-    lattice = build_lattice(make_inputs(steps=10))
-    assert len(lattice.node_values) == 11
-    for step in range(11):
-        assert lattice.node_values[step].shape == (step + 1,)
+# Steps 0-2 of the lattice at S=100, K=105, T=0.5, r=0.05, q=0.04,
+# sigma=0.25, flattened level by level, as recorded from the earlier
+# kernel that kept every step. The dividend gives American calls early
+# exercise too, so the two styles differ for both contract types.
+GOLDEN_FIRST_STEPS = {
+    ("call", "american", 1): (6.572113122270568, 0.0, 14.336457944794972),
+    ("call", "american", 2): (5.232056478636532, 0.0, 11.065415480435933, 0.0, 0.0, 23.40254166877415),
+    ("call", "american", 3): (5.406310072438039, 1.3163116028577413, 9.883839910037848, 0.0, 2.750000242394271, 17.701490267990255),
+    ("call", "american", 75): (5.0968433007628855, 4.229989981114613, 5.979234814358452, 3.4705477186309897, 5.0028871186595705, 6.973243574300952),
+    ("call", "american", 500): (5.080136513091501, 4.742638878089587, 5.419962768417538, 4.42139661892717, 5.066088294110898, 5.776288214737571),
+    ("call", "european", 1): (6.572113122270568, 0.0, 14.336457944794972),
+    ("call", "european", 2): (5.232056478636532, 0.0, 11.065415480435933, 0.0, 0.0, 23.40254166877415),
+    ("call", "european", 3): (5.406310072438039, 1.3163116028577413, 9.883839910037848, 0.0, 2.750000242394271, 17.701490267990255),
+    ("call", "european", 75): (5.094620339036851, 4.228489491407304, 5.976277790064725, 3.4695539816377807, 5.000871785886065, 6.969329711036695),
+    ("call", "european", 500): (5.077863449030926, 4.740655248483621, 5.417398481829429, 4.41966880048121, 5.063847275534943, 5.773398660488757),
+    ("put", "american", 1): (10.95978655456998, 21.20331144212443, 0.0),
+    ("put", "american", 2): (9.83913197370248, 16.750309741540462, 2.573740775099634, 27.119921692859506, 5.0, 0.0),
+    ("put", "american", 3): (9.880737896277628, 15.648535886064973, 3.869923891762234, 23.463885829420107, 7.543085343972817, 0.0),
+    ("put", "american", 75): (9.594726141739306, 10.738504968144959, 8.441403013661454, 11.953714542445239, 9.51352068288702, 7.359968264069981),
+    ("put", "american", 500): (9.577731026292863, 10.021758271049158, 9.13227070514211, 10.476479183006779, 9.56559116377646, 8.697530216051812),
+    ("put", "european", 1): (10.95978655456998, 21.20331144212443, 0.0),
+    ("put", "european", 2): (9.619729910935908, 16.324077883054095, 2.573740775099634, 27.119921692859506, 5.0, 0.0),
+    ("put", "european", 3): (9.793983504737476, 15.479438043922707, 3.869923891762234, 23.134287757097315, 7.543085343972817, 0.0),
+    ("put", "european", 75): (9.482293771335797, 10.605230155717534, 8.350028908130913, 11.796383874057032, 9.40454846865792, 7.286376883450794),
+    ("put", "european", 500): (9.465536881333806, 9.901419214775293, 9.028254125350998, 10.347506634087662, 9.453920070910485, 8.601198979759717),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_FIRST_STEPS))
+def test_lattice_keeps_first_three_steps_bit_for_bit(key):
+    kind, exercise, steps = key
+    lattice = build_lattice(
+        make_inputs(
+            strike=105.0,
+            maturity=0.5,
+            dividend_yield=0.04,
+            volatility=0.25,
+            steps=steps,
+            contract_type=ContractType(kind),
+            exercise=Exercise(exercise),
+        )
+    )
+    assert [level.shape for level in lattice.node_values] == [
+        (step + 1,) for step in range(min(steps, 2) + 1)
+    ]
+    flat = tuple(value for level in lattice.node_values for value in level.tolist())
+    assert flat == GOLDEN_FIRST_STEPS[key]
