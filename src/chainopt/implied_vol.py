@@ -1,18 +1,24 @@
-"""Implied volatility by guarded Newton-Raphson over the binomial price.
+"""Implied volatility by guarded secant-Newton over the binomial price.
 
 The solver inverts f(sigma) = binomial_price(sigma) - market_price with
-the update x_{n+1} = x_n - f(x_n)/f'(x_n), f' taken as a central
-finite difference in volatility. Bare Newton diverges where vega is
-near zero (deep ITM or OTM), so every evaluation also maintains a
-bisection bracket: a Newton step is rejected in favor of a bisection
-step when vega falls below a floor, when the step leaves the allowed
-volatility range, or when it fails to reduce |f|. Newton candidates,
-bisection midpoints and the seed all go through one probe step: one
-full-size price, the bracket update and the best-iterate update.
+the update x_{n+1} = x_n - f(x_n)/s_n. The first slope s_0 is the
+closed-form Black-Scholes vega of the quote's European twin at the seed;
+every later slope is the secant through the last two full-size prices,
+so each step is a finite-difference Newton step on the full tree and
+each iteration costs exactly one price (Dekker 1969; Brent 1973). After
+a degenerate probe the slope falls back to the Black-Scholes vega.
 
-Prices during iteration are computed at the caller's full step count;
-only the derivative uses a coarser tree, which has no effect on the
-converged root.
+Bare Newton diverges where vega is near zero (deep ITM or OTM), so every
+evaluation also maintains a bisection bracket: a step is rejected in
+favor of a bisection step when its slope falls below a floor, when it
+leaves the allowed volatility range, or when it fails to reduce |f|.
+Steps, bisection midpoints and the seed all go through one probe step:
+one full-size price, the bracket update and the best-iterate update.
+
+The seed is the caller's (for example the same contract's IV at its
+previous bar) or, cold, the Black-Scholes implied vol of the market
+price on the European twin. Neither changes the root, only how many
+prices it takes to reach it.
 """
 
 from __future__ import annotations
@@ -25,17 +31,23 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArbitrageViolation, DegenerateProbability, DimensionMismatch
-from .pricing import ContractType, PricingInputs, price_option
+from .pricing import (
+    ContractType,
+    Exercise,
+    PricingInputs,
+    black_scholes_price,
+    black_scholes_vega,
+    price_option,
+)
 
 SIGMA_MIN = 1e-4
 SIGMA_MAX = 5.0
 SEED_LOW = 0.05
 SEED_HIGH = 1.0
-# A Newton step needs at least this much vega; below it, bisect.
+# A step needs a slope of at least this much; below it, bisect.
 VEGA_FLOOR = 1e-8
-# Coarser tree for the derivative only; full-size trees everywhere else.
-DERIVATIVE_STEPS = 200
-DERIVATIVE_BUMP = 1e-3
+# Closed-form steps for the cold seed; 50 bisections alone reach 5e-15.
+SEED_ITERATIONS = 50
 
 
 class SolveMethod(str, Enum):
@@ -71,6 +83,39 @@ def initial_guess(market_price: float, inputs: PricingInputs) -> float:
     return min(max(seed, SEED_LOW), SEED_HIGH)
 
 
+def cold_seed(
+    market_price: float,
+    inputs: PricingInputs,
+    price_tolerance: float = SolverOptions.price_tolerance,
+) -> float:
+    """Black-Scholes implied vol of market_price for the quote's European twin.
+
+    Safeguarded Newton on the closed form from initial_guess, to
+    price_tolerance or SEED_ITERATIONS steps. Falls back to
+    initial_guess when no sigma in [SIGMA_MIN, SIGMA_MAX] prices the
+    twin at market_price. No lattice is priced.
+    """
+    twin = inputs.replace(exercise=Exercise.EUROPEAN)
+    x = initial_guess(market_price, inputs)
+    lo, hi = SIGMA_MIN, SIGMA_MAX
+    floor_price = black_scholes_price(twin.replace(volatility=lo))
+    if not floor_price <= market_price <= black_scholes_price(twin.replace(volatility=hi)):
+        return x
+    for _ in range(SEED_ITERATIONS):
+        at_x = twin.replace(volatility=x)
+        f = black_scholes_price(at_x) - market_price
+        if abs(f) <= price_tolerance:
+            break
+        if f < 0.0:
+            lo = x
+        else:
+            hi = x
+        vega = black_scholes_vega(at_x)
+        step = x - f / vega if vega >= VEGA_FLOOR else None
+        x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
+    return x
+
+
 def _no_arbitrage_bounds(inputs: PricingInputs) -> tuple[float, float]:
     """Static bounds for an American option price."""
     s, k = inputs.spot, inputs.strike
@@ -86,35 +131,20 @@ def _no_arbitrage_bounds(inputs: PricingInputs) -> tuple[float, float]:
     return lower, upper
 
 
-def _reduced_vega(inputs: PricingInputs, sigma: float) -> float:
-    """Central-difference vega on the coarse derivative tree.
-
-    Treats an unusable point (bump crossing zero, degenerate lattice)
-    as zero vega so the caller falls back to bisection.
-    """
-    if sigma - DERIVATIVE_BUMP <= 0.0:
-        return 0.0
-    coarse = inputs.replace(steps=min(inputs.steps, DERIVATIVE_STEPS))
-    try:
-        up = price_option(coarse.replace(volatility=sigma + DERIVATIVE_BUMP))
-        down = price_option(coarse.replace(volatility=sigma - DERIVATIVE_BUMP))
-    except DegenerateProbability:
-        return 0.0
-    return (up - down) / (2.0 * DERIVATIVE_BUMP)
-
-
 def implied_vol(
     market_price: float,
     inputs: PricingInputs,
     opts: SolverOptions = SolverOptions(),
+    seed: float | None = None,
 ) -> IvSolution:
     """Invert a market price to the volatility the lattice implies.
 
     ``inputs.volatility`` is ignored; the contract terms, rate, step
-    count, and exercise style are taken from ``inputs``. Iterations
-    count price evaluations, including the one at the seed. When the
-    iteration cap is reached the best iterate is returned with
-    ``converged=False`` rather than raising.
+    count, and exercise style are taken from ``inputs``. The first probe
+    is at ``seed`` if given, else at ``cold_seed``. Iterations count
+    full-size price evaluations, including the one at the seed; no
+    other lattice is priced. When the iteration cap is reached the best
+    iterate is returned with ``converged=False`` rather than raising.
     """
     if market_price <= opts.price_tolerance:
         raise ArbitrageViolation(
@@ -130,17 +160,16 @@ def implied_vol(
         )
 
     lo, hi = SIGMA_MIN, SIGMA_MAX
-    x = initial_guess(market_price, inputs)
+    x = cold_seed(market_price, inputs, opts.price_tolerance) if seed is None else seed
     best_x, best_f = x, math.inf
-    iterations = 0
+    probes: list[tuple[float, float | None]] = []
 
     def probe(sigma: float) -> float | None:
         """One full-size price at sigma: returns its residual, narrows the
-        bracket and keeps the best iterate. None marks a lattice too
-        coarse for this volatility; the price is effectively pinned low,
-        so it counts as f < 0."""
-        nonlocal lo, hi, best_x, best_f, iterations
-        iterations += 1
+        bracket, keeps the best iterate and records the probe for the
+        next secant. None marks a lattice too coarse for this volatility;
+        the price is effectively pinned low, so it counts as f < 0."""
+        nonlocal lo, hi, best_x, best_f
         try:
             f = price_option(inputs.replace(volatility=sigma)) - market_price
         except DegenerateProbability:
@@ -151,7 +180,18 @@ def implied_vol(
             hi = min(hi, sigma)
         if f is not None and abs(f) < best_f:
             best_x, best_f = sigma, abs(f)
+        probes.append((sigma, f))
         return f
+
+    def slope() -> float:
+        """Secant through the last two probes, the second being the
+        current iterate; the Black-Scholes vega there after the seed or
+        a degenerate probe."""
+        x1, f1 = probes[-1]
+        if len(probes) > 1 and probes[-2][1] is not None:
+            x0, f0 = probes[-2]
+            return (f1 - f0) / (x1 - x0)
+        return black_scholes_vega(inputs.replace(volatility=x1, exercise=Exercise.EUROPEAN))
 
     f = probe(x)
     used_newton = False
@@ -166,15 +206,15 @@ def implied_vol(
 
     while True:
         if f is not None and abs(f) <= opts.price_tolerance:
-            return IvSolution(x, iterations, True, method_label())
-        if iterations >= opts.max_iterations:
-            return IvSolution(best_x, iterations, False, method_label())
+            return IvSolution(x, len(probes), True, method_label())
+        if len(probes) >= opts.max_iterations:
+            return IvSolution(best_x, len(probes), False, method_label())
 
-        # Take a Newton step from the current iterate if it lands in range
+        # Take a secant step from the current iterate if it lands in range
         # and reduces |f|; otherwise bisect the bracket.
         step = None
         if f is not None:
-            vega = _reduced_vega(inputs, x)
+            vega = slope()
             if vega >= VEGA_FLOOR:
                 step = x - f / vega
         f_step = None
@@ -183,9 +223,9 @@ def implied_vol(
         if f_step is not None and abs(f_step) < abs(f):
             used_newton = True
         else:
-            # A rejected Newton probe still narrowed the bracket.
-            if iterations >= opts.max_iterations:
-                return IvSolution(best_x, iterations, False, method_label())
+            # A rejected step's probe still narrowed the bracket.
+            if len(probes) >= opts.max_iterations:
+                return IvSolution(best_x, len(probes), False, method_label())
             step = 0.5 * (lo + hi)
             f_step = probe(step)
             used_bisection = True
@@ -193,7 +233,7 @@ def implied_vol(
         x, f = step, f_step
         if step_size <= opts.step_tolerance:
             converged = f is not None and abs(f) <= opts.price_tolerance
-            return IvSolution(x, iterations, converged, method_label())
+            return IvSolution(x, len(probes), converged, method_label())
 
 
 def portfolio_iv(weights, ivs: Sequence[float]) -> float:

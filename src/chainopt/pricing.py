@@ -200,10 +200,9 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / SQRT_TWO))
 
 
-def black_scholes_price(inputs: PricingInputs) -> float:
-    """Closed-form European value with a continuous dividend yield.
+def _black_scholes_terms(inputs: PricingInputs) -> tuple[float, float, float, float]:
+    """(d1, d2, S e^{-qT}, K e^{-rT}) of the closed form.
 
-    Used as an independent convergence reference for the lattice.
     Raises NotEuropean for American inputs instead of silently pricing
     the wrong contract.
     """
@@ -217,10 +216,23 @@ def black_scholes_price(inputs: PricingInputs) -> float:
 
     vol_sqrt_t = sigma * math.sqrt(t)
     d1 = (math.log(s / k) + (r - q + 0.5 * sigma * sigma) * t) / vol_sqrt_t
-    d2 = d1 - vol_sqrt_t
-    disc_s = s * math.exp(-q * t)
-    disc_k = k * math.exp(-r * t)
+    return d1, d1 - vol_sqrt_t, s * math.exp(-q * t), k * math.exp(-r * t)
 
+
+def black_scholes_price(inputs: PricingInputs) -> float:
+    """Closed-form European value with a continuous dividend yield.
+
+    Used as an independent convergence reference for the lattice.
+    """
+    d1, d2, disc_s, disc_k = _black_scholes_terms(inputs)
     if inputs.contract_type is ContractType.CALL:
         return disc_s * _norm_cdf(d1) - disc_k * _norm_cdf(d2)
     return disc_k * _norm_cdf(-d2) - disc_s * _norm_cdf(-d1)
+
+
+def black_scholes_vega(inputs: PricingInputs) -> float:
+    """Closed-form European dV/dsigma, S e^{-qT} phi(d1) sqrt(T), the same
+    for calls and puts."""
+    d1, _, disc_s, _ = _black_scholes_terms(inputs)
+    density = math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    return disc_s * density * math.sqrt(inputs.time_to_maturity)

@@ -204,7 +204,7 @@ def test_criterion_04_iv_round_trip_batch():
 
     assert recovered == 500
     assert fast_newton >= 475
-    assert elapsed < 30.0
+    assert elapsed < 30.0, f"took {elapsed:.1f} s against the 30 s gate"
 
 
 def test_criterion_05_greek_cross_checks():

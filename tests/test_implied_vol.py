@@ -11,22 +11,24 @@ own explicit tests below.
 
 from __future__ import annotations
 
+import itertools
 import sys
 
 import pytest
 
-from chainopt.errors import ArbitrageViolation, DimensionMismatch
+from chainopt.errors import ArbitrageViolation, DegenerateProbability, DimensionMismatch
 from chainopt.implied_vol import (
     SIGMA_MAX,
     SIGMA_MIN,
     IvSolution,
     SolveMethod,
     SolverOptions,
+    cold_seed,
     implied_vol,
     initial_guess,
     portfolio_iv,
 )
-from chainopt.pricing import ContractType, Exercise, price_option
+from chainopt.pricing import ContractType, Exercise, black_scholes_price, price_option
 
 from test_pricing import make_inputs
 
@@ -53,6 +55,60 @@ def test_seed_lower_clamp():
 
 def test_seed_upper_clamp():
     assert initial_guess(90.0, american()) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# cold seed
+
+
+@pytest.mark.parametrize(
+    "moneyness,maturity,sigma,kind",
+    list(
+        itertools.product(
+            [0.9, 1.0, 1.1], [0.1, 1.0], [0.15, 0.3, 1.5], list(ContractType)
+        )
+    ),
+)
+def test_cold_seed_inverts_black_scholes(moneyness, maturity, sigma, kind):
+    inputs = make_inputs(
+        strike=100.0 / moneyness, maturity=maturity, volatility=sigma, contract_type=kind
+    )
+    seed = cold_seed(black_scholes_price(inputs), inputs, price_tolerance=1e-12)
+    assert seed == pytest.approx(sigma, abs=1e-8)
+
+
+def test_cold_seed_prices_no_lattice(probes):
+    inputs = american(steps=500)
+    cold_seed(price_option(inputs.replace(volatility=0.3)), inputs)
+    assert probes == []
+
+
+def test_first_probe_is_the_seed(probes):
+    inputs = american(steps=200)
+    market = price_option(inputs.replace(volatility=0.3))
+    assert implied_vol(market, inputs, seed=0.3) == IvSolution(0.3, 1, True, SolveMethod.NEWTON)
+    assert probes == [(0.3, market)]
+    probes.clear()
+    implied_vol(market, inputs)
+    assert probes[0][0] == cold_seed(market, inputs)
+
+
+def test_cold_seed_outside_closed_form_range_falls_back():
+    # A day-old in-the-money American put quoted just above intrinsic at
+    # r=0.2: its European twin is worth less at every sigma up to
+    # SIGMA_MAX.
+    put = american(
+        spot=50.0, strike=100.0, maturity=0.001, rate=0.2, contract_type=ContractType.PUT
+    )
+    above = 50.0 + 1e-3
+    twin = put.replace(exercise=Exercise.EUROPEAN, volatility=SIGMA_MAX)
+    assert black_scholes_price(twin) < above
+    assert cold_seed(above, put) == initial_guess(above, put)
+    # Below the twin's SIGMA_MIN value there is no closed-form vol either.
+    call = american(strike=50.0)
+    twin = call.replace(exercise=Exercise.EUROPEAN, volatility=SIGMA_MIN)
+    below = black_scholes_price(twin) - 1e-3
+    assert cold_seed(below, call) == initial_guess(below, call)
 
 
 # ---------------------------------------------------------------------------
@@ -203,51 +259,51 @@ def test_deterministic_solution_object():
     assert isinstance(first, IvSolution)
 
 
-# One case per way out of the solver, with the IvSolution each returned
-# before its Newton and bisection branches shared one probe step.
+# One case per way out of the solver, with the IvSolution it returns.
 # Columns: strike, T, r, q, steps, type, exercise, market price,
 # (price_tolerance, step_tolerance, max_iterations), expected solution.
+# test_solution_takes_its_named_exit checks that each still leaves by
+# the exit its name gives.
 P, C = ContractType.PUT, ContractType.CALL
 AM, EU = Exercise.AMERICAN, Exercise.EUROPEAN
 GOLDEN_SOLUTIONS = {
     "converged_newton": (
         100.0, 1.0, 0.05, 0.0, 100, P, AM, 9.855994691335242, (1e-6, 1e-8, 100),
-        IvSolution(0.29999999974453273, 3, True, SolveMethod.NEWTON),
+        IvSolution(0.3000000047863289, 3, True, SolveMethod.NEWTON),
     ),
     "converged_after_degenerate_probe": (
-        95.0, 2.0, 0.2, 0.03, 10, P, EU, 3.104599519863484, (1e-12, 1e-15, 100),
-        IvSolution(0.30326664917448665, 11, True, SolveMethod.HYBRID),
+        100.0, 2.0, 0.5, 0.0, 5, P, AM, 5.970876670039801, (1e-12, 1e-15, 100),
+        IvSolution(0.5000000000000001, 9, True, SolveMethod.HYBRID),
     ),
     "newton_step_tolerance_converged": (
-        100.0, 2.0, 0.2, 0.03, 100, P, AM, 7.757446715576571, (1e-6, 1e-3, 5),
-        IvSolution(0.3057167357726381, 4, True, SolveMethod.NEWTON),
+        110.0, 0.1, 0.0, 0.0, 20, P, AM, 12.824397531853377, (1e-6, 1e-3, 5),
+        IvSolution(0.499999996494951, 3, True, SolveMethod.NEWTON),
     ),
     "newton_step_tolerance_unconverged": (
         150.0, 0.5, 0.5, 0.03, 3, C, EU, 49.74260413744109, (1e-12, 1e-3, 8),
-        IvSolution(2.057854707110593, 5, False, SolveMethod.NEWTON),
+        IvSolution(2.0578547335480795, 4, False, SolveMethod.NEWTON),
     ),
     "bisection_step_tolerance": (
         60.0, 0.01, 0.05, 0.0, 50, C, AM, 43.43466141330493, (1e-3, 1e-15, 100),
         IvSolution(4.999999999999999, 53, False, SolveMethod.BISECTION),
     ),
     "cap_after_rejected_newton": (
-        80.0, 0.5, 0.0, 0.0, 2, P, EU, 1.6580717265629994, (1e-6, 1e-3, 5),
-        IvSolution(0.05877711233648292, 5, False, SolveMethod.HYBRID),
+        90.0, 2.0, 0.5, 0.0, 20, C, AM, 66.89085240959584, (1e-6, 1e-3, 5),
+        IvSolution(0.17000734284656405, 5, False, SolveMethod.HYBRID),
     ),
     "cap_at_two_iterations": (
-        60.0, 1.0, 0.05, 0.0, 50, P, AM, 0.271004918859215, (1e-3, 1e-15, 2),
-        IvSolution(0.05, 2, False, SolveMethod.BISECTION),
+        60.0, 1.0, 0.05, 0.0, 50, P, AM, 0.271004918859215, (1e-6, 1e-15, 2),
+        IvSolution(0.3015257572349257, 2, False, SolveMethod.NEWTON),
     ),
     "cap_after_degenerate_probe": (
-        95.0, 2.0, 0.2, 0.03, 100, P, EU, 0.008164356452588275, (1e-3, 1e-8, 5),
-        IvSolution(0.05, 5, False, SolveMethod.BISECTION),
+        150.0, 2.0, 0.2, 0.0, 20, C, AM, 2.3836668178052927, (1e-6, 1e-8, 4),
+        IvSolution(0.6659732184558588, 4, False, SolveMethod.BISECTION),
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_SOLUTIONS))
-def test_solution_matches_golden(case):
-    strike, maturity, rate, q, steps, kind, exercise, market, opts, expected = (
+def golden_solve(case):
+    strike, maturity, rate, q, steps, kind, exercise, market, opts, _ = (
         GOLDEN_SOLUTIONS[case]
     )
     inputs = make_inputs(
@@ -259,7 +315,77 @@ def test_solution_matches_golden(case):
         contract_type=kind,
         exercise=exercise,
     )
-    assert implied_vol(market, inputs, SolverOptions(*opts)) == expected
+    return implied_vol(market, inputs, SolverOptions(*opts))
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SOLUTIONS))
+def test_solution_matches_golden(case):
+    assert golden_solve(case) == GOLDEN_SOLUTIONS[case][-1]
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """Every lattice price the solver makes, as (sigma, residual), with
+    None for a degenerate lattice."""
+    module = sys.modules["chainopt.implied_vol"]
+    recorded = []
+
+    def recording(inputs):
+        try:
+            price = price_option(inputs)
+        except DegenerateProbability:
+            recorded.append((inputs.volatility, None))
+            raise
+        recorded.append((inputs.volatility, price))
+        return price
+
+    monkeypatch.setattr(module, "price_option", recording)
+    return recorded
+
+
+def is_midpoint(probes, market):
+    """Whether the last probe bisects the bracket the earlier ones left."""
+    lo, hi = SIGMA_MIN, SIGMA_MAX
+    for sigma, price in probes[:-1]:
+        if price is None or price < market:
+            lo = max(lo, sigma)
+        else:
+            hi = min(hi, sigma)
+    return probes[-1][0] == 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_SOLUTIONS))
+def test_solution_takes_its_named_exit(case, probes):
+    market = GOLDEN_SOLUTIONS[case][7]
+    tolerance, step_tolerance, cap = GOLDEN_SOLUTIONS[case][8]
+    solution = golden_solve(case)
+    assert solution.iterations == len(probes)
+    residuals = [None if price is None else abs(price - market) for _, price in probes]
+    last_step = abs(probes[-1][0] - probes[-2][0])
+    if case.startswith("converged"):
+        # Left at the top of the loop, with the step before it too long
+        # to stop on.
+        assert solution.converged and solution.iterations < cap
+        assert residuals[-1] <= tolerance and solution.sigma == probes[-1][0]
+        assert last_step > step_tolerance
+    if "step_tolerance" in case:
+        assert solution.iterations < cap
+        assert last_step <= step_tolerance
+        assert solution.converged is (residuals[-1] <= tolerance)
+    if case.startswith("newton_step"):
+        assert not is_midpoint(probes, market)
+        assert residuals[-1] < residuals[-2]
+    if case.startswith("bisection"):
+        assert is_midpoint(probes, market)
+    if case.startswith("cap"):
+        assert solution.iterations == cap and not solution.converged
+        best = min(r for r in residuals if r is not None)
+        assert residuals[[s for s, _ in probes].index(solution.sigma)] == best
+    if case == "cap_after_rejected_newton":
+        assert not is_midpoint(probes, market)
+        assert residuals[-1] >= residuals[-2]
+    if case.endswith("degenerate_probe"):
+        assert None in residuals
 
 
 def test_price_within_tolerance_of_zero_rejected():

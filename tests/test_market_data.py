@@ -2,9 +2,13 @@
 
 import csv
 import math
+import os
+import tempfile
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainopt.errors import (
     ExpiredContract,
@@ -594,6 +598,39 @@ class TestGenerateSyntheticChain:
         assert result.report.rows_kept == len(chain.records)
         assert result.report.entries == []
         assert result.records == chain.records
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        strikes=st.lists(
+            st.floats(80.0, 120.0, allow_nan=False), min_size=1, max_size=3, unique=True
+        ),
+        bars=st.integers(1, 4),
+        half_spread=st.sampled_from([0.0, 0.013, 0.25]),
+        illiquid_fraction=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_chain_round_trips_through_write_and_parse(
+        self, seed, strikes, bars, half_spread, illiquid_fraction
+    ):
+        config = GeneratorConfig(
+            strikes=tuple(strikes),
+            maturities=(0.25, 1.0),
+            bars=bars,
+            steps=10,
+            half_spread=half_spread,
+            illiquid_fraction=illiquid_fraction,
+        )
+        chain = generate_synthetic_chain(config, seed)
+        with tempfile.TemporaryDirectory() as root:
+            first = os.path.join(root, "first.csv")
+            write_option_chain(chain.records, first)
+            parsed = parse_option_chain(first)
+            second = os.path.join(root, "second.csv")
+            write_option_chain(parsed.records, second)
+            reparsed = parse_option_chain(second)
+        assert parsed.report.entries == []
+        assert parsed.records == chain.records
+        assert reparsed.records == parsed.records
 
     def test_spot_series_round_trips(self, tmp_path):
         chain = generate_synthetic_chain(self.SMALL, seed=13)

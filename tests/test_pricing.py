@@ -19,6 +19,7 @@ from chainopt.pricing import (
     Exercise,
     PricingInputs,
     black_scholes_price,
+    black_scholes_vega,
     build_lattice,
     payoff,
     price_option,
@@ -168,6 +169,28 @@ def test_put_call_parity_closed_form(moneyness, maturity, sigma, rate, q):
 def test_black_scholes_rejects_american():
     with pytest.raises(NotEuropean):
         black_scholes_price(make_inputs(exercise=Exercise.AMERICAN))
+    with pytest.raises(NotEuropean):
+        black_scholes_vega(make_inputs(exercise=Exercise.AMERICAN))
+
+
+@pytest.mark.parametrize(
+    "moneyness,maturity,q,kind",
+    list(
+        itertools.product(
+            [0.8, 0.95, 1.0, 1.1, 1.25], [0.05, 0.5, 2.0], [0.0, 0.03], list(ContractType)
+        )
+    ),
+)
+def test_black_scholes_vega_is_the_price_slope(moneyness, maturity, q, kind):
+    inputs = make_inputs(
+        strike=100.0 / moneyness, maturity=maturity, dividend_yield=q, volatility=0.3,
+        contract_type=kind,
+    )
+    bump = 1e-5
+    up = black_scholes_price(inputs.replace(volatility=0.3 + bump))
+    down = black_scholes_price(inputs.replace(volatility=0.3 - bump))
+    central = (up - down) / (2.0 * bump)
+    assert black_scholes_vega(inputs) == pytest.approx(central, rel=1e-6, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
