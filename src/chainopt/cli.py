@@ -324,15 +324,12 @@ def _pricing_inputs(quote: EnrichedQuote, config: RunConfig, sigma: float) -> Pr
     )
 
 
-Analytics = tuple[IvSolution | None, GreekSet | None]
-
-
 def _analytics(
-    quote: EnrichedQuote, config: RunConfig, with_greeks: bool, seed: float | None
-) -> Analytics:
-    """The quote's IV solve from seed (None when its mid breaks a
-    no-arbitrage bound) and, if with_greeks and the solve converged, the
-    Greeks at that IV."""
+    quote: EnrichedQuote, config: RunConfig, with_greeks: bool
+) -> tuple[IvSolution | None, GreekSet | None]:
+    """The quote's IV solve (None when its mid breaks a no-arbitrage
+    bound) and, if with_greeks and the solve converged, the Greeks at
+    that IV."""
     opts = SolverOptions(
         price_tolerance=config.price_tolerance,
         step_tolerance=config.step_tolerance,
@@ -340,50 +337,13 @@ def _analytics(
     )
     try:
         solution = implied_vol(
-            quote.mid, _pricing_inputs(quote, config, config.sigma), opts, seed=seed
+            quote.mid, _pricing_inputs(quote, config, config.sigma), opts
         )
     except ArbitrageViolation:
         return None, None
     if not (with_greeks and solution.converged):
         return solution, None
     return solution, greek_set(_pricing_inputs(quote, config, solution.sigma))
-
-
-def _bar_analytics(
-    quotes: Sequence[EnrichedQuote],
-    config: RunConfig,
-    with_greeks: bool,
-    seeds: dict[str, float],
-) -> list[Analytics]:
-    """Analytics for one bar's quotes. Each IV solve starts from seeds,
-    which maps a RIC to its converged IV at the latest earlier bar solved
-    (cold when absent); then this bar's outcomes replace those seeds, and
-    a rejected or unconverged solve leaves its RIC unseeded."""
-    results = [
-        _analytics(quote, config, with_greeks, seeds.get(quote.contract.ric))
-        for quote in quotes
-    ]
-    for quote, (solution, _) in zip(quotes, results):
-        if solution is not None and solution.converged:
-            seeds[quote.contract.ric] = solution.sigma
-        else:
-            seeds.pop(quote.contract.ric, None)
-    return results
-
-
-def _chain_analytics(
-    quotes: Sequence[EnrichedQuote], config: RunConfig, with_greeks: bool
-) -> list[Analytics]:
-    """Every quote's analytics in chain order, solved in bar order so
-    each solve is warm-started from its RIC's previous bar."""
-    seeds: dict[str, float] = {}
-    solved = {}
-    for bar_quotes in _quotes_by_bar(quotes).values():
-        for quote, result in zip(
-            bar_quotes, _bar_analytics(bar_quotes, config, with_greeks, seeds)
-        ):
-            solved[id(quote)] = result
-    return [solved[id(quote)] for quote in quotes]
 
 
 def _ranking_metric(config: RunConfig) -> RankingMetric:
@@ -405,21 +365,16 @@ def _ranking_metric(config: RunConfig) -> RankingMetric:
 
 
 def _select_bar(
-    quotes: Sequence[EnrichedQuote],
-    config: RunConfig,
-    decision_time: datetime,
-    seeds: dict[str, float],
+    quotes: Sequence[EnrichedQuote], config: RunConfig, decision_time: datetime
 ) -> tuple[list[ContractAnalytics], list[ScoredContract], Universe, list[ReportEntry]]:
     """Rank one bar's quotes by the configured metric and keep the top-k
-    and bottom-k. The IV solves start from, and then update, seeds (see
-    _bar_analytics). Returns the bar's analytics, the ranking, the
-    universe and the ranking's skipped entries. A quote without a
-    converged IV keeps an analytics row with nothing in it, so the
-    ranking reports it."""
+    and bottom-k. Returns the bar's analytics, the ranking, the universe
+    and the ranking's skipped entries. A quote without a converged IV
+    keeps an analytics row with nothing in it, so the ranking reports it."""
     metric = _ranking_metric(config)
-    results = _bar_analytics(quotes, config, metric.kind is not MetricKind.IV, seeds)
     snapshot = []
-    for quote, (solution, greeks) in zip(quotes, results):
+    for quote in quotes:
+        solution, greeks = _analytics(quote, config, metric.kind is not MetricKind.IV)
         iv = solution.sigma if solution is not None and solution.converged else None
         values = () if greeks is None else (
             greeks.delta, greeks.gamma, greeks.theta, greeks.vega, greeks.rho
@@ -533,7 +488,8 @@ def cmd_iv(config: RunConfig) -> int:
     """Implied volatility for every (contract, bar)."""
     quotes, exclusions = _load_quotes(config)
     rows = []
-    for quote, (solution, _) in zip(quotes, _chain_analytics(quotes, config, False)):
+    for quote in quotes:
+        solution, _ = _analytics(quote, config, with_greeks=False)
         row = [quote.contract.ric, quote.timestamp.isoformat(), repr(quote.mid)]
         if solution is None:
             rows.append(row + ["", "0", "", "false"])
@@ -555,7 +511,8 @@ def cmd_greeks(config: RunConfig) -> int:
     """IV-implied Greeks and exercise region for every (contract, bar)."""
     quotes, exclusions = _load_quotes(config)
     rows = []
-    for quote, (solution, greeks) in zip(quotes, _chain_analytics(quotes, config, True)):
+    for quote in quotes:
+        solution, greeks = _analytics(quote, config, with_greeks=True)
         row = [quote.contract.ric, quote.timestamp.isoformat()]
         if greeks is None:
             rows.append(row + [""] * 7)
@@ -581,9 +538,8 @@ def cmd_select(config: RunConfig) -> int:
     quotes, exclusions = _load_quotes(config)
     rows = []
     missing: list[ReportEntry] = []
-    seeds: dict[str, float] = {}
     for stamp, bar_quotes in _quotes_by_bar(quotes).items():
-        _, ranked, universe, skipped = _select_bar(bar_quotes, config, stamp, seeds)
+        _, ranked, universe, skipped = _select_bar(bar_quotes, config, stamp)
         missing.extend(skipped)
         scored = {entry.ric: entry for entry in ranked}
         for side, rics in (("top", universe.top), ("bottom", universe.bottom)):
@@ -602,7 +558,7 @@ def cmd_optimize(config: RunConfig) -> int:
     quotes, exclusions = _load_quotes(config)
     matrix, gaps, grouped = _return_matrix(quotes)
     last = list(grouped)[-1]
-    snapshot, _, universe, skipped = _select_bar(grouped[last], config, last, {})
+    snapshot, _, universe, skipped = _select_bar(grouped[last], config, last)
     selected = _select_columns(matrix, universe)
     moments = estimate_moments(
         selected.returns, config.estimation_window or selected.n_bars
@@ -657,10 +613,9 @@ def _per_bar_universes(
     universes: dict[datetime, Universe] = {}
     ivs: dict[datetime, dict[str, float]] = {}
     skipped: list[ReportEntry] = []
-    seeds: dict[str, float] = {}
     for previous, stamp in zip(timeline, timeline[1:]):
         snapshot, _, universes[stamp], missing = _select_bar(
-            grouped[previous], config, stamp, seeds
+            grouped[previous], config, stamp
         )
         skipped.extend(missing)
         ivs[stamp] = {a.ric: a.iv for a in snapshot if a.iv is not None}
@@ -697,7 +652,7 @@ def cmd_backtest(config: RunConfig) -> int:
         )
     else:
         first = next(iter(grouped))
-        _, _, chosen, skipped = _select_bar(grouped[first], config, first, {})
+        _, _, chosen, skipped = _select_bar(grouped[first], config, first)
         report = run_static(
             _select_columns(matrix, chosen),
             config.strategy,

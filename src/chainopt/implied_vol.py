@@ -15,10 +15,9 @@ leaves the allowed volatility range, or when it fails to reduce |f|.
 Steps, bisection midpoints and the seed all go through one probe step:
 one full-size price, the bracket update and the best-iterate update.
 
-The seed is the caller's (for example the same contract's IV at its
-previous bar) or, cold, the Black-Scholes implied vol of the market
-price on the European twin. Neither changes the root, only how many
-prices it takes to reach it.
+The seed is the Black-Scholes implied vol of the market price on the
+European twin, so a solve depends on its quote alone. The seed does not
+change the root, only how many prices it takes to reach it.
 """
 
 from __future__ import annotations
@@ -135,15 +134,13 @@ def implied_vol(
     market_price: float,
     inputs: PricingInputs,
     opts: SolverOptions = SolverOptions(),
-    seed: float | None = None,
 ) -> IvSolution:
     """Invert a market price to the volatility the lattice implies.
 
     ``inputs.volatility`` is ignored; the contract terms, rate, step
     count, and exercise style are taken from ``inputs``. The first probe
-    is at ``seed`` if given, else at ``cold_seed``. Iterations count
-    full-size price evaluations, including the one at the seed; no
-    other lattice is priced. When the iteration cap is reached the best
+    is at ``cold_seed``. Iterations count full-size price evaluations,
+    including the one at the seed; no other lattice is priced. When the iteration cap is reached the best
     iterate is returned with ``converged=False`` rather than raising.
     """
     if market_price <= opts.price_tolerance:
@@ -160,7 +157,7 @@ def implied_vol(
         )
 
     lo, hi = SIGMA_MIN, SIGMA_MAX
-    x = cold_seed(market_price, inputs, opts.price_tolerance) if seed is None else seed
+    x = cold_seed(market_price, inputs, opts.price_tolerance)
     best_x, best_f = x, math.inf
     probes: list[tuple[float, float | None]] = []
 

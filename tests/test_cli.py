@@ -8,7 +8,6 @@ runs in well under a minute.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import json
 import logging
@@ -24,24 +23,14 @@ from pathlib import Path
 import pytest
 
 import chainopt
-from chainopt.cli import (
-    RunConfig,
-    _chain_analytics,
-    _pricing_inputs,
-    load_config_file,
-    main,
-    make_config,
-)
+from chainopt.cli import RunConfig, load_config_file, main, make_config
 from chainopt.errors import InvalidConfig
-from chainopt.implied_vol import SolverOptions, implied_vol
 from chainopt.market_data import (
     GeneratorConfig,
-    enrich_records,
     generate_synthetic_chain,
     write_option_chain,
     write_spot_series,
 )
-from chainopt.pricing import price_option
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -778,13 +767,16 @@ def rows_by_quote(path, value_column):
         return {(row["ric"], row["timestamp"]): row[value_column] for row in rows}
 
 
-class TestWarmStart:
-    """Each IV solve starts from its RIC's converged IV at the latest
-    earlier bar the command solved, and cold when there is none."""
+class TestIvIsAFunctionOfItsQuote:
+    """Every IV solve starts from the quote's own cold seed, so its IV
+    depends neither on the chain's other rows nor on the command."""
 
-    def test_shuffled_rows_give_identical_ivs(self, capsys, tmp_path, data_dir):
+    def test_shuffled_and_duplicated_rows_give_identical_ivs(
+        self, capsys, tmp_path, data_dir
+    ):
         with open(data_dir / "chain.csv", newline="") as handle:
             header, *rows = list(csv.reader(handle))
+        rows.append(rows[7])
         random.Random(5).shuffle(rows)
         shuffled = tmp_path / "shuffled"
         shuffled.mkdir()
@@ -793,9 +785,13 @@ class TestWarmStart:
         (shuffled / "spot.csv").write_bytes((data_dir / "spot.csv").read_bytes())
         for source, out in ((data_dir, tmp_path / "a"), (shuffled, tmp_path / "b")):
             assert run_cli(capsys, "iv", *chain_args(source, out))[0] == 0
-        a = rows_by_quote(tmp_path / "a" / "iv.csv", "iv")
-        assert a == rows_by_quote(tmp_path / "b" / "iv.csv", "iv")
-        assert len(a) == 54 * 4
+        ivs = rows_by_quote(tmp_path / "a" / "iv.csv", "iv")
+        assert len(ivs) == 54 * 4
+        with open(tmp_path / "b" / "iv.csv", newline="") as handle:
+            solved = list(csv.DictReader(handle))
+        assert len(solved) == len(ivs) + 1
+        for row in solved:
+            assert row["iv"] == ivs[(row["ric"], row["timestamp"])]
 
     def test_iv_greeks_and_select_share_every_iv(self, capsys, tmp_path, data_dir):
         for command in ("iv", "greeks", "select"):
@@ -807,88 +803,6 @@ class TestWarmStart:
         assert len(scores) == 2 * 5 * 4
         for quote, score in scores.items():
             assert float(score) == float(ivs[quote])
-
-    def test_rejected_or_unconverged_solve_leaves_next_bar_cold(
-        self, capsys, monkeypatch, tmp_path, data_dir
-    ):
-        # One in-the-money put is quoted below intrinsic at bar 1, so its
-        # solve is rejected; one call is quoted at a marked price there,
-        # and its solve is reported unconverged.
-        chain = tmp_path / "chain.csv"
-        chain.write_bytes((data_dir / "chain.csv").read_bytes())
-        (tmp_path / "spot.csv").write_bytes((data_dir / "spot.csv").read_bytes())
-        with open(chain, newline="") as handle:
-            bars = sorted({row["Date-Time"] for row in csv.DictReader(handle)})
-        rejected, unconverged, marked = "SYN240402P00110000", "SYN240402C00105000", 1.2345
-        for ric, value in ((rejected, "0.0001"), (unconverged, repr(marked))):
-            set_prices(
-                chain,
-                lambda row: row["#RIC"] == ric and row["Date-Time"] == bars[1],
-                ("Close Bid", "Close Ask", "Mid Close"),
-                value,
-            )
-
-        solve = chainopt.cli.implied_vol
-        seeds = {}
-
-        def recording(market_price, inputs, opts, seed=None):
-            seeds[market_price] = seed
-            solution = solve(market_price, inputs, opts, seed=seed)
-            if market_price == marked:
-                return dataclasses.replace(solution, converged=False)
-            return solution
-
-        monkeypatch.setattr(chainopt.cli, "implied_vol", recording)
-        out = tmp_path / "out"
-        assert run_cli(capsys, "iv", *chain_args(tmp_path, out))[0] == 0
-        with open(out / "iv.csv", newline="") as handle:
-            rows = list(csv.DictReader(handle))
-        assert len(rows) == len(seeds)  # one solve per quote, each at its own mid
-        previous = {}
-        for row in sorted(rows, key=lambda row: row["timestamp"]):
-            ric, mid = row["ric"], float(row["market_mid"])
-            assert seeds[mid] == previous.get(ric)
-            if mid == 0.0001:
-                assert (ric, row["iv"], row["converged"]) == (rejected, "", "false")
-            converged = row["converged"] == "true" and mid != marked
-            previous[ric] = float(row["iv"]) if converged else None
-        cold_again = [
-            seeds[float(row["market_mid"])]
-            for row in rows
-            if row["ric"] in (rejected, unconverged) and row["timestamp"] == bars[2]
-        ]
-        assert cold_again == [None, None]
-
-    def test_noisy_mids_converge_and_match_cold_solves(self):
-        # Twelve five-minute bars whose mids carry 1% i.i.d. noise, so the
-        # previous bar's IV is a seed off the root, not on it.
-        generator = GeneratorConfig(
-            strikes=(95.0, 100.0, 105.0),
-            maturities=(0.25, 0.5),
-            bars=12,
-            bar_interval_seconds=300,
-            steps=200,
-        )
-        chain = generate_synthetic_chain(generator, seed=3)
-        quotes, dropped = enrich_records(chain.records, chain.spot_series, generator.rate)
-        assert not dropped
-        rng = random.Random(7)
-        noisy = [
-            dataclasses.replace(quote, mid=quote.mid * (1.0 + rng.gauss(0.0, 0.01)))
-            for quote in quotes
-        ]
-        config = make_config({}, {"steps": "200"})
-        opts = SolverOptions(
-            config.price_tolerance, config.step_tolerance, config.max_iterations
-        )
-        results = _chain_analytics(noisy, config, with_greeks=False)
-        assert len(results) == 12 * 12
-        for quote, (solution, _) in zip(noisy, results):
-            inputs = _pricing_inputs(quote, config, config.sigma)
-            assert solution.converged
-            repriced = price_option(inputs.replace(volatility=solution.sigma))
-            assert abs(repriced - quote.mid) <= config.price_tolerance
-            assert abs(solution.sigma - implied_vol(quote.mid, inputs, opts).sigma) <= 1e-4
 
 
 class TestSelfcheck:

@@ -83,12 +83,9 @@ def test_cold_seed_prices_no_lattice(probes):
     assert probes == []
 
 
-def test_first_probe_is_the_seed(probes):
+def test_first_probe_is_the_cold_seed(probes):
     inputs = american(steps=200)
     market = price_option(inputs.replace(volatility=0.3))
-    assert implied_vol(market, inputs, seed=0.3) == IvSolution(0.3, 1, True, SolveMethod.NEWTON)
-    assert probes == [(0.3, market)]
-    probes.clear()
     implied_vol(market, inputs)
     assert probes[0][0] == cold_seed(market, inputs)
 
