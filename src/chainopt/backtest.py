@@ -35,6 +35,7 @@ from .errors import (
 from .market_data import YEAR_SECONDS, ReportEntry, atomic_write, write_table
 from .optimizer import (
     CASH_ID,
+    DEFAULT_RISK_AVERSION,
     PortfolioConstraints,
     WeightVector,
     estimate_moments,
@@ -229,7 +230,6 @@ def _run_engine(
     matrix: ReturnMatrix,
     decide: _Decide,
     config_echo: dict,
-    riskfree_annual: float = 0.0,
     cash_rate_per_bar: float = 0.0,
     events: list[str] | None = None,
 ) -> BacktestReport:
@@ -275,7 +275,7 @@ def _run_engine(
         cash = cash * (1.0 + cash_rate_per_bar) / scale
 
     bar_seconds = (matrix.timestamps[0] - matrix.start).total_seconds()
-    metrics = summarize(equity, bar_seconds, riskfree_annual)
+    metrics = summarize(equity, bar_seconds)
     return BacktestReport(
         timestamps=(matrix.start,) + matrix.timestamps,
         equity_curve=tuple(equity),
@@ -299,7 +299,6 @@ def _universe_for(universes: Mapping[datetime, Universe], ts: datetime) -> Unive
 def run_long_short(
     universes: Mapping[datetime, Universe],
     returns: ReturnMatrix,
-    riskfree_annual: float = 0.0,
 ) -> BacktestReport:
     """+1/(2k) on each top contract, -1/(2k) on each bottom, every bar.
 
@@ -314,8 +313,7 @@ def run_long_short(
         values = (size,) * k + (-size,) * k + (1.0,)
         return WeightVector(weights=values, universe=rics, objective_value=0.0)
 
-    echo = {"strategy": "long_short", "riskfree_annual": riskfree_annual}
-    return _run_engine(returns, decide, echo, riskfree_annual=riskfree_annual)
+    return _run_engine(returns, decide, {"strategy": "long_short"})
 
 
 def _run_box_strategy(
@@ -326,7 +324,6 @@ def _run_box_strategy(
     estimation_window: int,
     risk_aversion: float,
     ivs_for: Callable[[datetime], Mapping[str, float]] | None,
-    riskfree_annual: float,
     echo_head: dict,
 ) -> BacktestReport:
     """Shared body of run_dynamic and the static box run: trailing-window
@@ -348,7 +345,6 @@ def _run_box_strategy(
         "lower": box.lower,
         "upper": box.upper,
         "iv_cap": box.iv_cap,
-        "riskfree_annual": riskfree_annual,
     }
     column = {ric: j for j, ric in enumerate(returns.ids)}
     events: list[str] = []
@@ -387,9 +383,7 @@ def _run_box_strategy(
             logger.warning("%s", event)
             return None
 
-    return _run_engine(
-        returns, decide, echo, riskfree_annual=riskfree_annual, events=events
-    )
+    return _run_engine(returns, decide, echo, events=events)
 
 
 def run_dynamic(
@@ -398,9 +392,8 @@ def run_dynamic(
     constraints: PortfolioConstraints | None = None,
     rebalance_every: int = 1,
     estimation_window: int = DEFAULT_ESTIMATION_WINDOW,
-    risk_aversion: float = 1.0,
+    risk_aversion: float = DEFAULT_RISK_AVERSION,
     ivs: Mapping[datetime, Mapping[str, float]] | None = None,
-    riskfree_annual: float = 0.0,
 ) -> BacktestReport:
     """Box-constrained solve on a trailing window at each rebalance bar.
 
@@ -424,7 +417,6 @@ def run_dynamic(
         estimation_window,
         risk_aversion,
         None if ivs is None else (lambda ts: ivs.get(ts, {})),
-        riskfree_annual,
         {"strategy": "dynamic", "rebalance_every": rebalance_every},
     )
 
@@ -436,11 +428,7 @@ def run_static(
     riskfree: float = 0.0,
     shrinkage_intensity: float = 0.2,
     uncertainty: float = 0.1,
-    risk_aversion: float = 1.0,
-    constraints: PortfolioConstraints | None = None,
     estimation_window: int | None = None,
-    ivs: Mapping[str, float] | None = None,
-    riskfree_annual: float = 0.0,
 ) -> BacktestReport:
     """One solve, weights drifting across the whole horizon.
 
@@ -448,24 +436,24 @@ def run_static(
     estimate moments in-sample over the first estimation_window rows
     (default: the full horizon) and trade every contract from bar 0,
     shorts included. Kind "box" is the degenerate dynamic run over the
-    full contract set: it waits out one estimation window, solves once,
-    and never rebalances, making it bar-for-bar identical to a dynamic
-    run with a single rebalance. The target return defaults to the
-    in-sample mean of the equal-weight portfolio; solver failures
-    propagate, and optimizer.solve rejects an unknown kind.
+    full contract set in the default box, with no IV cap: it waits out
+    one estimation window, solves once, and never rebalances, making it
+    bar-for-bar identical to a dynamic run with a single rebalance. The
+    target return defaults to the in-sample mean of the equal-weight
+    portfolio; solver failures propagate, and optimizer.solve rejects an
+    unknown kind.
     """
     if optimizer_kind == "box":
         return _run_box_strategy(
             returns,
             lambda ts: returns.ids,
-            constraints,
+            None,
             max(returns.n_bars, 1),
             estimation_window
             if estimation_window is not None
             else DEFAULT_ESTIMATION_WINDOW,
-            risk_aversion,
-            None if ivs is None else (lambda ts: ivs),
-            riskfree_annual,
+            DEFAULT_RISK_AVERSION,
+            None,
             {"strategy": "box"},
         )
 
@@ -499,16 +487,9 @@ def run_static(
         "riskfree": riskfree,
         "shrinkage_intensity": shrinkage_intensity,
         "uncertainty": uncertainty,
-        "riskfree_annual": riskfree_annual,
     }
     cash_rate = riskfree if optimizer_kind == "riskfree" else 0.0
-    return _run_engine(
-        returns,
-        decide,
-        echo,
-        riskfree_annual=riskfree_annual,
-        cash_rate_per_bar=cash_rate,
-    )
+    return _run_engine(returns, decide, echo, cash_rate_per_bar=cash_rate)
 
 
 # ---------------------------------------------------------------------------

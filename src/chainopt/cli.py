@@ -5,7 +5,8 @@ One flat key-value config file drives every command; the common flags
 over file values. Commands never mutate their inputs, write their
 outputs atomically, and are deterministic given (inputs, config, seed).
 
-Exit codes: 0 success, 1 validation error, 2 runtime error.
+Exit codes: 0 success, 1 validation error (an ``InputError`` or a missing
+file), 2 runtime error.
 """
 
 from __future__ import annotations
@@ -30,25 +31,7 @@ from .backtest import (
     summarize,
     write_report_bundle,
 )
-from .errors import (
-    ArbitrageViolation,
-    ChainOptError,
-    CurveTooShort,
-    DegenerateWindow,
-    EmptySnapshot,
-    ExpiredContract,
-    InfeasibleConstraints,
-    InfeasibleIvCap,
-    InsufficientContracts,
-    InvalidConfig,
-    InvalidIntensity,
-    MalformedRow,
-    MissingColumn,
-    NoMid,
-    NonPositiveMid,
-    NoSpot,
-    WindowTooLarge,
-)
+from .errors import ArbitrageViolation, ChainOptError, InputError, InvalidConfig
 from .greeks import GreekSet, Region, classify_region, delta_fd, delta_ms, greek_set
 from .implied_vol import IvSolution, SolverOptions, implied_vol
 from .market_data import (
@@ -100,26 +83,6 @@ EXIT_RUNTIME = 2
 # A backtest of box would be a dynamic run that never rebalances, so
 # backtest offers dynamic in its place.
 BACKTEST_STRATEGIES = ("long_short", "dynamic") + tuple(k for k in KINDS if k != "box")
-
-# Errors in this tuple are the caller's to fix (config, schema, or input
-# shape); everything else raised by the pipeline is a runtime failure.
-VALIDATION_ERRORS = (
-    InvalidConfig,
-    MissingColumn,
-    MalformedRow,
-    InfeasibleConstraints,
-    InfeasibleIvCap,
-    InvalidIntensity,
-    DegenerateWindow,
-    WindowTooLarge,
-    EmptySnapshot,
-    InsufficientContracts,
-    NonPositiveMid,
-    NoSpot,
-    NoMid,
-    ExpiredContract,
-    CurveTooShort,
-)
 
 
 @dataclass(frozen=True)
@@ -923,7 +886,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         return COMMANDS[args.command](config)
-    except VALIDATION_ERRORS + (FileNotFoundError,) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ChainOptError, OSError) as exc:

@@ -2,7 +2,10 @@
 
 Every error raised deliberately by this package derives from
 :class:`ChainOptError`, so callers can catch one base class at the
-CLI boundary and translate it into an exit code.
+CLI boundary and translate it into an exit code. The ones that derive
+from :class:`InputError` are the caller's to fix (config, schema or
+input shape) and exit 1; every other error is a runtime failure and
+exits 2.
 """
 
 from __future__ import annotations
@@ -12,35 +15,39 @@ class ChainOptError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(ChainOptError):
+    """An error in the config or the inputs, not in the run."""
+
+
 # ---------------------------------------------------------------------------
 # Market data / parsing
 
 
-class MissingColumn(ChainOptError):
+class MissingColumn(InputError):
     """A required column is absent from an input file header."""
 
 
-class MalformedRow(ChainOptError):
+class MalformedRow(InputError):
     """A row could not be interpreted (bad timestamp, unparseable number)."""
 
 
-class ExpiredContract(ChainOptError):
+class ExpiredContract(InputError):
     """Quote timestamp is on or after the contract maturity."""
 
 
-class NoSpot(ChainOptError):
+class NoSpot(InputError):
     """No underlying price is available for the requested timestamp."""
 
 
-class NoMid(ChainOptError):
+class NoMid(InputError):
     """Neither a mid close nor a bid/ask pair is available for a bar."""
 
 
-class NonPositiveMid(ChainOptError):
+class NonPositiveMid(InputError):
     """Mid price is zero or negative and cannot be inverted or priced."""
 
 
-class InvalidConfig(ChainOptError):
+class InvalidConfig(InputError):
     """A configuration value is missing, of the wrong type, or out of range."""
 
 
@@ -84,7 +91,7 @@ class ArbitrageViolation(ChainOptError):
     """Market price sits outside the static no-arbitrage band."""
 
 
-class CurveTooShort(ChainOptError):
+class CurveTooShort(InputError):
     """Not enough quotes to build the requested curve or surface."""
 
 
@@ -92,11 +99,11 @@ class CurveTooShort(ChainOptError):
 # Universe selection
 
 
-class EmptySnapshot(ChainOptError):
+class EmptySnapshot(InputError):
     """A ranking was requested on a snapshot with no usable contracts."""
 
 
-class InsufficientContracts(ChainOptError):
+class InsufficientContracts(InputError):
     """Fewer contracts than the requested top/bottom count."""
 
 
@@ -116,11 +123,11 @@ class NoExcessReturn(ChainOptError):
     """All assets earn the risk-free rate; tangency direction is undefined."""
 
 
-class InfeasibleConstraints(ChainOptError):
+class InfeasibleConstraints(InputError):
     """Box bounds and the budget constraint admit no feasible weights."""
 
 
-class InfeasibleIvCap(ChainOptError):
+class InfeasibleIvCap(InputError):
     """No weights inside the box satisfy the portfolio IV cap."""
 
 
@@ -128,13 +135,13 @@ class InfeasibleIvCap(ChainOptError):
 # Backtest
 
 
-class WindowTooLarge(ChainOptError):
+class WindowTooLarge(InputError):
     """Estimation window exceeds the available return history."""
 
 
-class DegenerateWindow(ChainOptError):
+class DegenerateWindow(InputError):
     """Estimation window has fewer than two observations."""
 
 
-class InvalidIntensity(ChainOptError):
+class InvalidIntensity(InputError):
     """Shrinkage intensity lies outside [0, 1]."""

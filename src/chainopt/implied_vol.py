@@ -9,11 +9,11 @@ each iteration costs exactly one price (Dekker 1969; Brent 1973). After
 a degenerate probe the slope falls back to the Black-Scholes vega.
 
 Bare Newton diverges where vega is near zero (deep ITM or OTM), so every
-evaluation also maintains a bisection bracket: a step is rejected in
-favor of a bisection step when its slope falls below a floor, when it
-leaves the allowed volatility range, or when it fails to reduce |f|.
-Steps, bisection midpoints and the seed all go through one probe step:
-one full-size price, the bracket update and the best-iterate update.
+evaluation also maintains a bisection bracket: a pass bisects instead of
+stepping when the slope falls below a floor, when the step leaves the
+allowed volatility range, or when the previous pass's step failed to
+reduce |f|. Each pass makes exactly one probe: one full-size price, the
+bracket update and the best-iterate update.
 
 The seed is the Black-Scholes implied vol of the market price on the
 European twin, so a solve depends on its quote alone. The seed does not
@@ -140,8 +140,9 @@ def implied_vol(
     ``inputs.volatility`` is ignored; the contract terms, rate, step
     count, and exercise style are taken from ``inputs``. The first probe
     is at ``cold_seed``. Iterations count full-size price evaluations,
-    including the one at the seed; no other lattice is priced. When the iteration cap is reached the best
-    iterate is returned with ``converged=False`` rather than raising.
+    including the one at the seed; no other lattice is priced. When the
+    iteration cap is reached the best iterate is returned with
+    ``converged=False`` rather than raising.
     """
     if market_price <= opts.price_tolerance:
         raise ArbitrageViolation(
@@ -191,8 +192,7 @@ def implied_vol(
         return black_scholes_vega(inputs.replace(volatility=x1, exercise=Exercise.EUROPEAN))
 
     f = probe(x)
-    used_newton = False
-    used_bisection = False
+    used_newton = used_bisection = rejected = False
 
     def method_label() -> SolveMethod:
         if used_newton and used_bisection:
@@ -207,25 +207,24 @@ def implied_vol(
         if len(probes) >= opts.max_iterations:
             return IvSolution(best_x, len(probes), False, method_label())
 
-        # Take a secant step from the current iterate if it lands in range
-        # and reduces |f|; otherwise bisect the bracket.
+        # Take a secant step from the current iterate if it lands in range,
+        # unless the last one failed to reduce |f|; otherwise bisect.
         step = None
-        if f is not None:
+        if f is not None and not rejected:
             vega = slope()
             if vega >= VEGA_FLOOR:
                 step = x - f / vega
-        f_step = None
-        if step is not None and SIGMA_MIN <= step <= SIGMA_MAX:
-            f_step = probe(step)
-        if f_step is not None and abs(f_step) < abs(f):
-            used_newton = True
-        else:
-            # A rejected step's probe still narrowed the bracket.
-            if len(probes) >= opts.max_iterations:
-                return IvSolution(best_x, len(probes), False, method_label())
+        secant = step is not None and SIGMA_MIN <= step <= SIGMA_MAX
+        if not secant:
             step = 0.5 * (lo + hi)
-            f_step = probe(step)
-            used_bisection = True
+        f_step = probe(step)
+        # A rejected step keeps the iterate; its probe still narrowed the
+        # bracket that the next pass bisects.
+        rejected = secant and not (f_step is not None and abs(f_step) < abs(f))
+        if rejected:
+            continue
+        used_newton |= secant
+        used_bisection |= not secant
         step_size = abs(step - x)
         x, f = step, f_step
         if step_size <= opts.step_tolerance:

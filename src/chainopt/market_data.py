@@ -583,7 +583,10 @@ def generate_synthetic_chain(config: GeneratorConfig, seed: int) -> SyntheticCha
             for kind in (ContractType.CALL, ContractType.PUT):
                 sigma = float(rng.uniform(*config.sigma_range))
                 letter = "C" if kind is ContractType.CALL else "P"
-                ric = f"{config.root}{maturity.strftime('%y%m%d')}{letter}{int(round(strike * 1000)):08d}"
+                ric = (
+                    f"{config.root}{maturity.strftime('%y%m%d')}{letter}"
+                    f"{int(round(strike * 1000)):08d}"
+                )
                 contract = OptionContract(
                     ric=ric,
                     root=config.root,

@@ -337,13 +337,15 @@ def _project(
 ) -> np.ndarray:
     """Project y onto {lower <= w <= upper, sum(w) = 1, ivs.w <= cap}.
 
-    The projection is clip(z - nu, lower, upper) with z = y - mu*ivs. For
-    a fixed mu the budget sum is piecewise linear and non-increasing in
-    nu, with kinks at z - upper and z - lower, so nu is interpolated
-    exactly on the segment that crosses 1 (Held, Wolfe and Crowder 1974;
-    Condat 2016). The portfolio IV falls monotonically in mu >= 0: mu is
-    0 when the cap is slack or absent, and otherwise the smallest mu
-    meeting the cap, bisected to float resolution.
+    The projection is clip(z - nu, lower, upper) with z = y - mu*ivs.
+    Since nu absorbs any constant, z is formed from the IVs above the
+    lowest, which keeps y from cancelling when near-tied IVs drive mu to
+    about reach/gap. For a fixed mu the budget sum is piecewise linear
+    and non-increasing in nu, with kinks at z - upper and z - lower, so
+    nu is interpolated exactly on the segment that crosses 1 (Held, Wolfe
+    and Crowder 1974; Condat 2016). The portfolio IV falls monotonically
+    in mu >= 0: mu is 0 when the cap is slack or absent, and otherwise
+    the smallest mu meeting the cap, bisected to float resolution.
     """
 
     def fill(z: np.ndarray) -> np.ndarray:
@@ -366,12 +368,13 @@ def _project(
     gaps = ivs[None, :] - ivs[:, None]
     reach = y[None, :] - y[:, None] + (upper - lower)
     lo, hi = 0.0, float(np.max(reach[gaps > 0.0] / gaps[gaps > 0.0], initial=0.0))
+    excess = ivs - ivs.min()
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if ivs @ fill(y - mid * ivs) <= cap:
+        if ivs @ fill(y - mid * excess) <= cap:
             hi = mid
         else:
             lo = mid
-    return fill(y - hi * ivs)
+    return fill(y - hi * excess)
 
 
 def minimum_attainable_iv(

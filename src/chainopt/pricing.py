@@ -14,15 +14,12 @@ contracts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateProbability, InvalidConfig, NotEuropean
-
-# Pipeline default; batch jobs override through config.
-DEFAULT_STEPS = 500
 
 SQRT_TWO = math.sqrt(2.0)
 
@@ -88,9 +85,7 @@ class PricingInputs:
 
     def replace(self, **changes) -> "PricingInputs":
         """Return a copy with the given fields replaced."""
-        from dataclasses import replace as _replace
-
-        return _replace(self, **changes)
+        return replace(self, **changes)
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ from pathlib import Path
 import pytest
 
 import chainopt
-from chainopt.cli import RunConfig, load_config_file, main, make_config
-from chainopt.errors import InvalidConfig
+from chainopt import errors
+from chainopt.cli import COMMANDS, RunConfig, load_config_file, main, make_config
+from chainopt.errors import ChainOptError, InvalidConfig
 from chainopt.market_data import (
     GeneratorConfig,
     generate_synthetic_chain,
@@ -74,6 +75,35 @@ def read_rows(path) -> tuple[list[str], list[list[str]]]:
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
+
+# The errors that exited 1 before they shared a base class; every other
+# ChainOptError exits 2.
+CALLER_ERRORS = {
+    "InvalidConfig",
+    "MissingColumn",
+    "MalformedRow",
+    "InfeasibleConstraints",
+    "InfeasibleIvCap",
+    "InvalidIntensity",
+    "DegenerateWindow",
+    "WindowTooLarge",
+    "EmptySnapshot",
+    "InsufficientContracts",
+    "NonPositiveMid",
+    "NoSpot",
+    "NoMid",
+    "ExpiredContract",
+    "CurveTooShort",
+}
+ERROR_TYPES = sorted(
+    (
+        value
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, ChainOptError)
+        and name != "InputError"
+    ),
+    key=lambda error: error.__name__,
+)
 
 PRICE_COLUMNS = ("Open", "High", "Low", "Last", "Close Bid", "Close Ask", "Mid Close")
 
@@ -277,6 +307,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "selfcheck", "--set", "steps100")
         assert code == 1
         assert "KEY=VALUE" in err
+
+    def test_every_caller_error_is_known(self):
+        assert CALLER_ERRORS <= {error.__name__ for error in ERROR_TYPES}
+
+    @pytest.mark.parametrize("error", ERROR_TYPES, ids=lambda error: error.__name__)
+    def test_each_error_type_keeps_its_exit_code(self, capsys, monkeypatch, error):
+        def failing(config):
+            raise error("boom")
+
+        monkeypatch.setitem(COMMANDS, "price", failing)
+        code, out, err = run_cli(capsys, "price")
+        assert code == (1 if error.__name__ in CALLER_ERRORS else 2)
+        assert (out, err) == ("", "error: boom\n")
 
 
 class TestSynth:
@@ -826,16 +869,27 @@ class TestSelfcheck:
 
 
 class TestModuleEntryPoint:
-    def test_python_dash_m_help_is_clean(self):
+    def run_help(self, *args: str) -> subprocess.CompletedProcess:
         src = str(Path(chainopt.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "chainopt", "--help"],
+        return subprocess.run(
+            [sys.executable, *args, "--help"],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
             timeout=60,
         )
+
+    def test_python_dash_m_help_is_clean(self):
+        result = self.run_help("-m", "chainopt")
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "backtest" in result.stdout
+
+    def test_cli_module_runs_without_warnings(self):
+        # Importing the package must not import chainopt.cli, or runpy
+        # warns that the module is already in sys.modules.
+        result = self.run_help("-W", "error", "-m", "chainopt.cli")
         assert result.returncode == 0
         assert result.stderr == ""
         assert "backtest" in result.stdout

@@ -488,6 +488,58 @@ class TestBindingCapOnFiveMinuteReturns:
         assert len(calls) <= 22
 
 
+class TestNearTiedIvsAtBindingCap:
+    """IVs a relative 1e-9 apart drive the cap's multiplier to about
+    reach/gap. Shifting y by mu*ivs then cancelled y itself, so PGD
+    stalled for seconds or more, or the weights missed the budget."""
+
+    LIMIT = 50
+
+    def solve_counted(self, monkeypatch, mean, cov, ivs, cap):
+        calls = []
+        real = optimizer._project
+
+        def counted(*args):
+            calls.append(1)
+            assert len(calls) <= self.LIMIT, "PGD stalled at the binding cap"
+            return real(*args)
+
+        monkeypatch.setattr(optimizer, "_project", counted)
+        constraints = PortfolioConstraints(0.0, 0.6, cap)
+        return solve_box_constrained(moments(mean, cov), constraints, ivs=ivs).weights
+
+    def test_cap_at_the_floor(self, monkeypatch):
+        ivs = np.array([0.3, 0.3 * (1 + 1e-9), 0.3 * (1 + 2e-9), 0.45])
+        cap = minimum_attainable_iv(PortfolioConstraints(0.0, 0.6), ivs)
+        weights = self.solve_counted(
+            monkeypatch,
+            [0.01, -0.004, 0.006, 0.002],
+            np.diag([4e-4, 1e-4, 9e-4, 2.5e-4]),
+            ivs,
+            cap,
+        )
+        assert_feasible(weights, 0.0, 0.6, ivs, cap)
+        assert weights == pytest.approx([0.6, 0.4, 0.0, 0.0], abs=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-6])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_seeded_caps_near_the_floor(self, monkeypatch, gap, seed):
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.2, 0.4)
+        ivs = base * np.array([1.0, 1.0 + gap, 1.0 + 2.0 * gap, 1.5])
+        rng.shuffle(ivs)
+        floor = minimum_attainable_iv(PortfolioConstraints(0.0, 0.6), ivs)
+        cap = floor + rng.choice([0.0, 10.0 ** rng.uniform(-12.0, -2.0)])
+        weights = self.solve_counted(
+            monkeypatch,
+            rng.normal(0.0, 0.005, 4),
+            np.diag(rng.uniform(1e-4, 1e-3, 4)),
+            ivs,
+            cap,
+        )
+        assert_feasible(weights, 0.0, 0.6, ivs, cap)
+
+
 @st.composite
 def projection_problems(draw):
     n = draw(st.integers(min_value=2, max_value=5))
