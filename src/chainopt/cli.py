@@ -64,7 +64,9 @@ from .pricing import (
     Exercise,
     PricingInputs,
     black_scholes_price,
+    build_lattices,
     price_option,
+    tree_parameters,
 )
 from .universe import (
     ContractAnalytics,
@@ -427,11 +429,23 @@ def _select_columns(matrix: ReturnMatrix, universe: Universe) -> ReturnMatrix:
 
 
 def cmd_price(config: RunConfig) -> int:
-    """Model price for every (contract, bar) at the configured sigma."""
+    """Model price for every (contract, bar) at the configured sigma, one
+    batched induction per bar."""
     quotes, exclusions = _load_quotes(config)
+    inputs: list[PricingInputs] = []
+    bars: dict[datetime, list[int]] = {}
+    for index, quote in enumerate(quotes):
+        inputs.append(_pricing_inputs(quote, config, config.sigma))
+        # The first degenerate quote in file order fails the command
+        # before any bar is solved.
+        tree_parameters(inputs[-1])
+        bars.setdefault(quote.timestamp, []).append(index)
+    prices = [0.0] * len(quotes)
+    for indices in bars.values():
+        for index, lattice in zip(indices, build_lattices([inputs[i] for i in indices])):
+            prices[index] = lattice.root_value
     rows = []
-    for quote in quotes:
-        price = price_option(_pricing_inputs(quote, config, config.sigma))
+    for quote, price in zip(quotes, prices):
         rows.append(
             [
                 quote.contract.ric,

@@ -12,8 +12,9 @@ with eps = +sqrt(dt) with probability q_rn and -sqrt(dt) otherwise,
 and mu = (r - q - sigma^2/2)/sigma. Gamma is the second divided
 difference over the three step-2 nodes, and theta the change from the
 root to the middle one, which sits at the root's spot since u*d = 1.
-Vega and rho reprice; the bumped delta_fd, gamma_fd and theta_fd are
-kept as cross-checks.
+Vega and rho reprice at bumped volatility and rate; greek_set solves its
+lattice and those four reprices in one batched induction. The bumped
+delta_fd, gamma_fd and theta_fd are kept as cross-checks.
 """
 
 from __future__ import annotations
@@ -34,8 +35,10 @@ from .pricing import (
     Lattice,
     PricingInputs,
     build_lattice,
+    build_lattices,
     payoff,
     price_option,
+    tree_parameters,
 )
 
 # Default bump sizes, chosen to balance truncation error against
@@ -173,26 +176,44 @@ def theta_fd(inputs: PricingInputs, dt_bump: float = THETA_BUMP) -> float:
     return (shortened - price_option(inputs)) / dt_bump
 
 
-def vega_fd(inputs: PricingInputs, vol_bump: float = VEGA_BUMP) -> float:
-    """Central difference in volatility, per unit of volatility."""
+def _vol_bumped(inputs: PricingInputs, vol_bump: float) -> list[PricingInputs]:
+    """The inputs at volatility + vol_bump and at volatility - vol_bump."""
     if vol_bump <= 0.0:
         raise InvalidBump(f"volatility bump must be > 0, got {vol_bump}")
     if inputs.volatility - vol_bump <= 0.0:
         raise NegativeVolAfterBump(
             f"volatility {inputs.volatility} minus bump {vol_bump} is not positive"
         )
-    up = price_option(inputs.replace(volatility=inputs.volatility + vol_bump))
-    down = price_option(inputs.replace(volatility=inputs.volatility - vol_bump))
-    return (up - down) / (2.0 * vol_bump)
+    return [
+        inputs.replace(volatility=inputs.volatility + vol_bump),
+        inputs.replace(volatility=inputs.volatility - vol_bump),
+    ]
+
+
+def _rate_bumped(inputs: PricingInputs, rate_bump: float) -> list[PricingInputs]:
+    """The inputs at rate + rate_bump and at rate - rate_bump."""
+    if rate_bump <= 0.0:
+        raise InvalidBump(f"rate bump must be > 0, got {rate_bump}")
+    return [
+        inputs.replace(rate=inputs.rate + rate_bump),
+        inputs.replace(rate=inputs.rate - rate_bump),
+    ]
+
+
+def _central_difference(up: float, down: float, bump: float) -> float:
+    return (up - down) / (2.0 * bump)
+
+
+def vega_fd(inputs: PricingInputs, vol_bump: float = VEGA_BUMP) -> float:
+    """Central difference in volatility, per unit of volatility."""
+    up, down = _vol_bumped(inputs, vol_bump)
+    return _central_difference(price_option(up), price_option(down), vol_bump)
 
 
 def rho_fd(inputs: PricingInputs, rate_bump: float = RHO_BUMP) -> float:
     """Central difference in the risk-free rate, per unit of rate."""
-    if rate_bump <= 0.0:
-        raise InvalidBump(f"rate bump must be > 0, got {rate_bump}")
-    up = price_option(inputs.replace(rate=inputs.rate + rate_bump))
-    down = price_option(inputs.replace(rate=inputs.rate - rate_bump))
-    return (up - down) / (2.0 * rate_bump)
+    up, down = _rate_bumped(inputs, rate_bump)
+    return _central_difference(price_option(up), price_option(down), rate_bump)
 
 
 def greek_set(inputs: PricingInputs) -> GreekSet:
@@ -200,11 +221,16 @@ def greek_set(inputs: PricingInputs) -> GreekSet:
 
     Delta, gamma and theta come off one lattice's first two steps, so
     steps >= 2. European contracts have no region and take the
-    continuation delta. Vega and rho reprice at the default bumps.
+    continuation delta. Vega and rho reprice at the default bumps, as
+    vega_fd and rho_fd do, in the same batched induction as the lattice.
     """
     if inputs.steps < 2:
         raise InvalidConfig(f"steps must be >= 2 for lattice Greeks, got {inputs.steps}")
-    lattice = build_lattice(inputs)
+    # The unbumped tree's degenerate probability is reported before any
+    # bump is checked, as when it was solved on its own first.
+    tree_parameters(inputs)
+    rows = [inputs, *_vol_bumped(inputs, VEGA_BUMP), *_rate_bumped(inputs, RHO_BUMP)]
+    lattice, vol_up, vol_down, rate_up, rate_down = build_lattices(rows)
     region = _root_region(lattice) if inputs.exercise is Exercise.AMERICAN else None
     low, mid, high = lattice.node_values[2].tolist()
     s_low, s_mid, s_high = lattice.spot_grid(2).tolist()
@@ -214,7 +240,7 @@ def greek_set(inputs: PricingInputs) -> GreekSet:
         delta=_lattice_delta(lattice, region),
         gamma=2.0 * (slope_up - slope_down) / (s_high - s_low),
         theta=(mid - lattice.root_value) / (2.0 * lattice.dt),
-        vega=vega_fd(inputs),
-        rho=rho_fd(inputs),
+        vega=_central_difference(vol_up.root_value, vol_down.root_value, VEGA_BUMP),
+        rho=_central_difference(rate_up.root_value, rate_down.root_value, RHO_BUMP),
         region=region,
     )

@@ -30,14 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArbitrageViolation, DegenerateProbability, DimensionMismatch
-from .pricing import (
-    ContractType,
-    Exercise,
-    PricingInputs,
-    black_scholes_price,
-    black_scholes_vega,
-    price_option,
-)
+from .pricing import ContractType, PricingInputs, black_scholes, price_option
 
 SIGMA_MIN = 1e-4
 SIGMA_MAX = 5.0
@@ -82,6 +75,19 @@ def initial_guess(market_price: float, inputs: PricingInputs) -> float:
     return min(max(seed, SEED_LOW), SEED_HIGH)
 
 
+def _twin(inputs: PricingInputs, sigma: float) -> tuple[float, float]:
+    """Black-Scholes (price, vega) of the quote's European twin at sigma."""
+    return black_scholes(
+        inputs.spot,
+        inputs.strike,
+        inputs.time_to_maturity,
+        inputs.rate,
+        inputs.dividend_yield,
+        sigma,
+        inputs.contract_type,
+    )
+
+
 def cold_seed(
     market_price: float,
     inputs: PricingInputs,
@@ -94,22 +100,20 @@ def cold_seed(
     initial_guess when no sigma in [SIGMA_MIN, SIGMA_MAX] prices the
     twin at market_price. No lattice is priced.
     """
-    twin = inputs.replace(exercise=Exercise.EUROPEAN)
     x = initial_guess(market_price, inputs)
     lo, hi = SIGMA_MIN, SIGMA_MAX
-    floor_price = black_scholes_price(twin.replace(volatility=lo))
-    if not floor_price <= market_price <= black_scholes_price(twin.replace(volatility=hi)):
+    floor_price, _ = _twin(inputs, lo)
+    if not floor_price <= market_price <= _twin(inputs, hi)[0]:
         return x
     for _ in range(SEED_ITERATIONS):
-        at_x = twin.replace(volatility=x)
-        f = black_scholes_price(at_x) - market_price
+        price, vega = _twin(inputs, x)
+        f = price - market_price
         if abs(f) <= price_tolerance:
             break
         if f < 0.0:
             lo = x
         else:
             hi = x
-        vega = black_scholes_vega(at_x)
         step = x - f / vega if vega >= VEGA_FLOOR else None
         x = step if step is not None and lo < step < hi else 0.5 * (lo + hi)
     return x
@@ -189,7 +193,7 @@ def implied_vol(
         if len(probes) > 1 and probes[-2][1] is not None:
             x0, f0 = probes[-2]
             return (f1 - f0) / (x1 - x0)
-        return black_scholes_vega(inputs.replace(volatility=x1, exercise=Exercise.EUROPEAN))
+        return _twin(inputs, x1)[1]
 
     f = probe(x)
     used_newton = used_bisection = rejected = False

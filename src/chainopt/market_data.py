@@ -35,7 +35,7 @@ from .errors import (
     NoMid,
     NoSpot,
 )
-from .pricing import ContractType, Exercise, PricingInputs, price_option
+from .pricing import ContractType, Exercise, PricingInputs, build_lattices
 
 logger = logging.getLogger(__name__)
 
@@ -623,11 +623,13 @@ def generate_synthetic_chain(config: GeneratorConfig, seed: int) -> SyntheticCha
     for contract, sigma in contracts:
         true_sigma[contract.ric] = sigma
         expiry = _maturity_instant(contract.maturity)
+        stamps, rows = [], []
         for timestamp, spot in spot_series:
             ttm = (expiry - timestamp).total_seconds() / YEAR_SECONDS
             if ttm <= 0.0:
                 continue
-            mid = price_option(
+            stamps.append(timestamp)
+            rows.append(
                 PricingInputs(
                     spot=spot,
                     strike=contract.strike,
@@ -640,6 +642,9 @@ def generate_synthetic_chain(config: GeneratorConfig, seed: int) -> SyntheticCha
                     exercise=Exercise.AMERICAN,
                 )
             )
+        # One induction prices all of the contract's live bars.
+        for timestamp, lattice in zip(stamps, build_lattices(rows)):
+            mid = lattice.root_value
             bid = max(mid - config.half_spread, 0.0)
             ask = mid + config.half_spread
             volume = int(rng.integers(100, 10_000))

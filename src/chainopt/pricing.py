@@ -4,8 +4,10 @@ The lattice is a recombining Cox-Ross-Rubinstein tree: up factor
 u = exp(sigma*sqrt(dt)), down factor d = 1/u, and risk-neutral up
 probability q_rn = (exp((r - q)*dt) - d)/(u - d). Backward induction
 applies the early-exercise comparison at every node for American
-contracts. build_lattice is the only induction loop: it keeps the first
-three steps, which the Greeks read, and price_option is its root value.
+contracts. build_lattices is the only induction loop: it solves rows
+that share a step count side by side and keeps their first three steps,
+which the Greeks read. build_lattice is its one-row case, and
+price_option is that lattice's root value.
 A closed-form European price is included as an independent convergence
 reference; it is never used as a pricing substitute for American
 contracts.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -124,13 +127,15 @@ def payoff(spot: float, strike: float, contract_type: ContractType) -> float:
     return max(strike - spot, 0.0)
 
 
-def _payoff_array(spots: np.ndarray, strike: float, contract_type: ContractType) -> np.ndarray:
+def _payoff_array(
+    spots: np.ndarray, strike: float, contract_type: ContractType, out: np.ndarray
+) -> np.ndarray:
     if contract_type is ContractType.CALL:
-        return np.maximum(spots - strike, 0.0)
-    return np.maximum(strike - spots, 0.0)
+        return np.maximum(spots - strike, 0.0, out=out)
+    return np.maximum(strike - spots, 0.0, out=out)
 
 
-def _tree_parameters(inputs: PricingInputs) -> tuple[float, float, float, float, float]:
+def tree_parameters(inputs: PricingInputs) -> tuple[float, float, float, float, float]:
     """Return (dt, u, d, q_rn, discount), rejecting degenerate probabilities."""
     dt = inputs.dt
     u = math.exp(inputs.volatility * math.sqrt(dt))
@@ -147,71 +152,162 @@ def _tree_parameters(inputs: PricingInputs) -> tuple[float, float, float, float,
     return dt, u, d, q_rn, discount
 
 
-def build_lattice(inputs: PricingInputs) -> Lattice:
-    """Solve the tree by backward induction.
+def build_lattices(rows: Sequence[PricingInputs]) -> list[Lattice]:
+    """Solve the trees of rows that share one step count N in one backward
+    induction, raising the first degenerate row's error.
 
     Terminal values are the payoffs at the N+1 terminal spots; each
     earlier node is the discounted risk-neutral expectation of its two
     successors, floored at intrinsic value for American exercise. The
-    steps share two reused buffers, and steps 0 to min(2, N) are copied
-    out as they pass.
+    rows lie end to end in one flat buffer of N+1 nodes each, so a step
+    is five elementwise operations however many rows there are. A node
+    past a row's live part may read the next row, but no live node ever
+    reads it back. Each node carries its row's coefficients, and a
+    European row's floor is -inf. Steps 0 to min(2, N) are copied out as
+    they pass.
     """
-    params = _tree_parameters(inputs)
-    _, u, _, q_rn, discount = params
-    n = inputs.steps
-    american = inputs.exercise is Exercise.AMERICAN
+    if not rows:
+        return []
+    n = rows[0].steps
+    for inputs in rows:
+        if inputs.steps != n:
+            raise InvalidConfig(
+                f"rows of one induction share a step count, got {n} and {inputs.steps}"
+            )
+    params = [tree_parameters(inputs) for inputs in rows]
+    m, width = len(rows), n + 1
 
-    # One power and payoff table serves every step: the spot at node j of
-    # step i is S * u^(2j - i), i.e. powers[n - i + 2j].
-    powers = inputs.spot * u ** np.arange(-n, n + 1, dtype=float)
-    intrinsic = _payoff_array(powers, inputs.strike, inputs.contract_type)
+    # One power and payoff table per row serves every step: the spot at
+    # node j of step i is S * u^(2j - i), i.e. column n - i + 2j. Rows
+    # lie 2 * width apart in the flat floor, so node j of row r, at flat
+    # index k = width * r + j, finds its floor at n - i + 2k. Each row's
+    # last slot is padding, read only past a row's live part.
+    exponents = np.arange(-n, n + 1, dtype=float)
+    floor = np.empty(2 * width * m)
+    european = []
+    for r, inputs in enumerate(rows):
+        start = 2 * width * r
+        intrinsic = floor[start : start + 2 * n + 1]
+        powers = inputs.spot * params[r][1] ** exponents
+        _payoff_array(powers, inputs.strike, inputs.contract_type, intrinsic)
+        if inputs.exercise is not Exercise.AMERICAN:
+            european.append(intrinsic)
+    # Step n's values are the payoffs in the even slots.
+    values = floor[::2].copy()
+    for intrinsic in european:
+        intrinsic.fill(-math.inf)
+    american = len(european) < m
 
-    # Copies throughout: each buffer is overwritten by later steps.
-    values = intrinsic[::2].copy()
-    levels = [values.copy()] if n <= RETAINED_STEP else []
-    spare = np.empty(n, dtype=float)
-    low = np.empty(n, dtype=float)
+    # A single row takes float coefficients; a batch takes one per node.
+    batched = m > 1
+    if batched:
+        floor[2 * n + 1 :: 2 * width] = -math.inf
+        up_nodes, down_nodes, discount_nodes = (
+            np.repeat(column, width)
+            for column in zip(*((q, 1.0 - q, disc) for *_, q, disc in params))
+        )
+    else:
+        _, _, _, q_up, discount = params[0]
+        q_down = 1.0 - q_up
+
+    # Step i computes the first `offset + i` nodes, which end at the last
+    # row's node i. Two buffers take turns, and the down branch is scaled
+    # in place in the step it feeds.
+    offset = (m - 1) * width + 1
+    top = n + 2 * offset
+    levels = [None] * (min(n, RETAINED_STEP) + 1)
+    if n <= RETAINED_STEP:
+        levels[n] = values.copy()
+    spare = np.empty(m * width)
     for i in range(n - 1, -1, -1):
-        head = spare[: i + 1]
-        np.multiply(values[1:], q_rn, out=head)
-        head += np.multiply(values[:-1], 1.0 - q_rn, out=low[: i + 1])
+        length = offset + i
+        if batched:
+            q_up, q_down, discount = (
+                up_nodes[:length], down_nodes[:length], discount_nodes[:length]
+            )
+        head = spare[:length]
+        np.multiply(values[1:], q_up, out=head)
+        down = values[:-1]
+        down *= q_down
+        head += down
         head *= discount
         if american:
-            np.maximum(head, intrinsic[n - i : n + i + 1 : 2], out=head)
+            np.maximum(head, floor[n - i : top + i : 2], out=head)
         if i <= RETAINED_STEP:
-            levels.append(head.copy())
+            levels[i] = head.copy()
         spare = values
         values = head
 
-    return Lattice(n, *params, levels[::-1], inputs)
+    return [
+        Lattice(
+            n,
+            *params[r],
+            [level[r * width : r * width + i + 1] for i, level in enumerate(levels)],
+            inputs,
+        )
+        for r, inputs in enumerate(rows)
+    ]
+
+
+def build_lattice(inputs: PricingInputs) -> Lattice:
+    """Solve one tree: build_lattices of the one row."""
+    return build_lattices([inputs])[0]
 
 
 def price_option(inputs: PricingInputs) -> float:
     """Root lattice value."""
-    return build_lattice(inputs).root_value
+    return build_lattices([inputs])[0].root_value
 
 
 def _norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / SQRT_TWO))
 
 
-def _black_scholes_terms(inputs: PricingInputs) -> tuple[float, float, float, float]:
-    """(d1, d2, S e^{-qT}, K e^{-rT}) of the closed form.
+def black_scholes(
+    spot: float,
+    strike: float,
+    time_to_maturity: float,
+    rate: float,
+    dividend_yield: float,
+    volatility: float,
+    contract_type: ContractType,
+) -> tuple[float, float]:
+    """Closed-form European (price, vega) with a continuous dividend yield,
+    from plain floats. Vega, dV/dsigma = S e^{-qT} phi(d1) sqrt(T), is the
+    same for calls and puts."""
+    vol_sqrt_t = volatility * math.sqrt(time_to_maturity)
+    d1 = (
+        math.log(spot / strike)
+        + (rate - dividend_yield + 0.5 * volatility * volatility) * time_to_maturity
+    ) / vol_sqrt_t
+    d2 = d1 - vol_sqrt_t
+    disc_s = spot * math.exp(-dividend_yield * time_to_maturity)
+    disc_k = strike * math.exp(-rate * time_to_maturity)
+    if contract_type is ContractType.CALL:
+        price = disc_s * _norm_cdf(d1) - disc_k * _norm_cdf(d2)
+    else:
+        price = disc_k * _norm_cdf(-d2) - disc_s * _norm_cdf(-d1)
+    density = math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+    return price, disc_s * density * math.sqrt(time_to_maturity)
+
+
+def _closed_form(inputs: PricingInputs) -> tuple[float, float]:
+    """black_scholes of the inputs.
 
     Raises NotEuropean for American inputs instead of silently pricing
     the wrong contract.
     """
     if inputs.exercise is not Exercise.EUROPEAN:
         raise NotEuropean("closed form is defined for European exercise only")
-
-    s, k = inputs.spot, inputs.strike
-    t = inputs.time_to_maturity
-    r, q = inputs.rate, inputs.dividend_yield
-    sigma = inputs.volatility
-
-    vol_sqrt_t = sigma * math.sqrt(t)
-    d1 = (math.log(s / k) + (r - q + 0.5 * sigma * sigma) * t) / vol_sqrt_t
-    return d1, d1 - vol_sqrt_t, s * math.exp(-q * t), k * math.exp(-r * t)
+    return black_scholes(
+        inputs.spot,
+        inputs.strike,
+        inputs.time_to_maturity,
+        inputs.rate,
+        inputs.dividend_yield,
+        inputs.volatility,
+        inputs.contract_type,
+    )
 
 
 def black_scholes_price(inputs: PricingInputs) -> float:
@@ -219,15 +315,10 @@ def black_scholes_price(inputs: PricingInputs) -> float:
 
     Used as an independent convergence reference for the lattice.
     """
-    d1, d2, disc_s, disc_k = _black_scholes_terms(inputs)
-    if inputs.contract_type is ContractType.CALL:
-        return disc_s * _norm_cdf(d1) - disc_k * _norm_cdf(d2)
-    return disc_k * _norm_cdf(-d2) - disc_s * _norm_cdf(-d1)
+    return _closed_form(inputs)[0]
 
 
 def black_scholes_vega(inputs: PricingInputs) -> float:
     """Closed-form European dV/dsigma, S e^{-qT} phi(d1) sqrt(T), the same
     for calls and puts."""
-    d1, _, disc_s, _ = _black_scholes_terms(inputs)
-    density = math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
-    return disc_s * density * math.sqrt(inputs.time_to_maturity)
+    return _closed_form(inputs)[1]

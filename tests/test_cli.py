@@ -25,7 +25,7 @@ import pytest
 import chainopt
 from chainopt import errors
 from chainopt.cli import COMMANDS, RunConfig, load_config_file, main, make_config
-from chainopt.errors import ChainOptError, InvalidConfig
+from chainopt.errors import ChainOptError, DegenerateProbability, InvalidConfig
 from chainopt.market_data import (
     GeneratorConfig,
     generate_synthetic_chain,
@@ -364,6 +364,73 @@ class TestSynth:
                 "steps=50",
             )
         assert sha256(tmp_path / "a" / "chain.csv") != sha256(tmp_path / "b" / "chain.csv")
+
+
+class TestPriceCommand:
+    """price solves each bar's quotes in one batched induction; its rows
+    and its errors are those of pricing the quotes one by one."""
+
+    @staticmethod
+    def serial_quotes(data, **settings):
+        """(quote, PricingInputs) for every quote price solves, in its order."""
+        overrides = {"chain_path": str(data / "chain.csv"), "spot_path": str(data / "spot.csv")}
+        overrides.update({key: str(value) for key, value in settings.items()})
+        config = make_config({}, overrides)
+        quotes, _ = chainopt.cli._load_quotes(config)
+        return [
+            (quote, chainopt.cli._pricing_inputs(quote, config, config.sigma))
+            for quote in quotes
+        ]
+
+    def test_rows_are_the_single_prices_in_chain_order(self, capsys, tmp_path, data_dir):
+        assert run_cli(capsys, "price", *chain_args(data_dir, tmp_path))[0] == 0
+        with open(tmp_path / "price.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        expected = self.serial_quotes(data_dir, steps=100)
+        assert len(rows) == len(expected) == 54 * 4
+        for row, (quote, inputs) in zip(rows, expected):
+            assert (row["ric"], row["timestamp"]) == (
+                quote.contract.ric,
+                quote.timestamp.isoformat(),
+            )
+            assert row["price"] == repr(chainopt.price_option(inputs))
+
+    def test_degenerate_quote_fails_as_the_serial_loop_does(self, capsys, tmp_path, data_dir):
+        # At N=1, sigma=0.06 and r=0.1 the tree degenerates once dt = T >
+        # 0.36 years: the 3-month contracts price, the 6- and 12-month ones
+        # do not. The first row is a 3-month quote at the first bar and the
+        # second a 6-month quote at the second bar, so the first degenerate
+        # quote in file order sits in a later bar than the first row.
+        with open(data_dir / "chain.csv", newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        when, maturity = header.index("Date-Time"), header.index("Maturity")
+        stamps = sorted({row[when] for row in rows})
+        first = next(r for r in rows if r[when] == stamps[0] and r[maturity] == "2024-04-02")
+        second = next(r for r in rows if r[when] == stamps[1] and r[maturity] == "2024-07-02")
+        rows.remove(first)
+        rows.remove(second)
+        data = tmp_path / "data"
+        data.mkdir()
+        with open(data / "chain.csv", "w", newline="") as handle:
+            csv.writer(handle).writerows([header, first, second, *rows])
+        (data / "spot.csv").write_bytes((data_dir / "spot.csv").read_bytes())
+        settings = dict(steps=1, sigma=0.06, rate=0.1)
+
+        quotes = self.serial_quotes(data, **settings)
+        errors_in_order = []
+        for quote, inputs in quotes:
+            try:
+                chainopt.price_option(inputs)
+            except DegenerateProbability as exc:
+                errors_in_order.append((quote.timestamp, str(exc)))
+        first_bar = quotes[0][0].timestamp
+        serial_error = errors_in_order[0][1]
+        first_bar_error = next(e for stamp, e in errors_in_order if stamp == first_bar)
+        assert serial_error != first_bar_error
+
+        code, _, err = run_cli(capsys, "price", *chain_args(data, tmp_path / "out", **settings))
+        assert code == 2
+        assert err == f"error: {serial_error}\n"
 
 
 class TestIvCommand:

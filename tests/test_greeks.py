@@ -23,6 +23,8 @@ from chainopt.errors import (
     NegativeVolAfterBump,
 )
 from chainopt.greeks import (
+    RHO_BUMP,
+    VEGA_BUMP,
     GreekSet,
     Region,
     classify_region,
@@ -322,6 +324,25 @@ def test_greek_set_propagates_vol_bump_error():
         greek_set(american(rate=0.0, volatility=1e-3, steps=100))
 
 
+def test_greek_set_raises_its_errors_in_the_serial_order():
+    # The unbumped tree's degenerate probability comes before the vega
+    # bump check, as when the lattice was solved before the reprices.
+    both = american(rate=1.0, volatility=1e-3, steps=2)
+    with pytest.raises(DegenerateProbability) as expected:
+        delta_ms(both)
+    with pytest.raises(DegenerateProbability) as raised:
+        greek_set(both)
+    assert str(raised.value) == str(expected.value)
+    # Only the volatility-down reprice is degenerate: at dt = 1 the tree
+    # degenerates once sigma <= r - q.
+    bumped = american(rate=0.1, volatility=0.1005, maturity=2.0, steps=2)
+    with pytest.raises(DegenerateProbability) as expected:
+        vega_fd(bumped)
+    with pytest.raises(DegenerateProbability) as raised:
+        greek_set(bumped)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_greek_set_region_matches_classify_region():
     cases = [
         american(spot=60.0, steps=200, contract_type=ContractType.PUT),
@@ -355,18 +376,48 @@ def test_greek_set_matches_the_single_greeks():
 
 
 @pytest.mark.parametrize("exercise", list(Exercise))
-def test_greek_set_builds_one_lattice_and_four_prices(monkeypatch, exercise):
-    calls = {"build_lattice": 0, "price_option": 0}
+def test_greek_set_solves_one_induction_of_five_rows(monkeypatch, exercise):
+    calls = {"build_lattices": [], "build_lattice": [], "price_option": []}
     for name in calls:
         real = getattr(greeks_module, name)
 
-        def counted(inputs, real=real, name=name):
-            calls[name] += 1
-            return real(inputs)
+        def counted(argument, real=real, name=name):
+            calls[name].append(argument)
+            return real(argument)
 
         monkeypatch.setattr(greeks_module, name, counted)
-    greek_set(make_inputs(steps=50, contract_type=ContractType.PUT, exercise=exercise))
-    assert calls == {"build_lattice": 1, "price_option": 4}
+    inputs = make_inputs(steps=50, contract_type=ContractType.PUT, exercise=exercise)
+    greek_set(inputs)
+    assert calls == {
+        "build_lattices": [
+            [
+                inputs,
+                inputs.replace(volatility=inputs.volatility + VEGA_BUMP),
+                inputs.replace(volatility=inputs.volatility - VEGA_BUMP),
+                inputs.replace(rate=inputs.rate + RHO_BUMP),
+                inputs.replace(rate=inputs.rate - RHO_BUMP),
+            ]
+        ],
+        "build_lattice": [],
+        "price_option": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "kind, exercise, strike, dividend_yield",
+    list(itertools.product(ContractType, Exercise, (80.0, 100.0, 130.0), (0.0, 0.04))),
+)
+def test_greek_set_vega_and_rho_equal_the_bumped_reprices(kind, exercise, strike, dividend_yield):
+    inputs = make_inputs(
+        strike=strike,
+        dividend_yield=dividend_yield,
+        steps=120,
+        contract_type=kind,
+        exercise=exercise,
+    )
+    greeks = greek_set(inputs)
+    assert greeks.vega == vega_fd(inputs)
+    assert greeks.rho == rho_fd(inputs)
 
 
 def test_greek_set_needs_two_lattice_steps():

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainopt.errors import DegenerateProbability, InvalidConfig, NotEuropean
 from chainopt.pricing import (
@@ -21,8 +23,10 @@ from chainopt.pricing import (
     black_scholes_price,
     black_scholes_vega,
     build_lattice,
+    build_lattices,
     payoff,
     price_option,
+    tree_parameters,
 )
 
 # Closed form at S=100, K=100, T=1, r=0.05, q=0, sigma=0.2.
@@ -408,3 +412,71 @@ def test_lattice_keeps_first_three_steps_bit_for_bit(key):
     ]
     flat = tuple(value for level in lattice.node_values for value in level.tolist())
     assert flat == GOLDEN_FIRST_STEPS[key]
+
+
+# ---------------------------------------------------------------------------
+# batched induction
+
+
+@st.composite
+def lattice_rows(draw):
+    """One step count and 1-6 rows of mixed type and exercise style that
+    share it, none with a degenerate probability."""
+    steps = draw(st.sampled_from([1, 2, 3, 7, 20, 75]) | st.integers(1, 120))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        inputs = make_inputs(
+            spot=draw(st.floats(50.0, 150.0)),
+            strike=draw(st.sampled_from([40.0, 90.0, 100.0, 105.0, 250.0])),
+            maturity=draw(st.floats(0.01, 2.0)),
+            rate=draw(st.floats(-0.02, 0.1)),
+            dividend_yield=draw(st.floats(0.0, 0.05)),
+            volatility=draw(st.floats(0.05, 0.9)),
+            steps=steps,
+            contract_type=draw(st.sampled_from(ContractType)),
+            exercise=draw(st.sampled_from(Exercise)),
+        )
+        try:
+            tree_parameters(inputs)
+        except DegenerateProbability:
+            assume(False)
+        rows.append(inputs)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(lattice_rows())
+def test_batched_rows_match_their_single_lattices_bit_for_bit(rows):
+    for inputs, lattice in zip(rows, build_lattices(rows), strict=True):
+        single = build_lattice(inputs)
+        assert lattice.inputs is inputs
+        assert (lattice.steps, lattice.dt, lattice.up, lattice.down, lattice.q_rn) == (
+            single.steps, single.dt, single.up, single.down, single.q_rn
+        )
+        assert lattice.discount == single.discount
+        assert [level.tobytes() for level in lattice.node_values] == [
+            level.tobytes() for level in single.node_values
+        ]
+        assert [level.shape for level in lattice.node_values] == [
+            level.shape for level in single.node_values
+        ]
+
+
+def test_batch_of_no_rows_is_empty():
+    assert build_lattices([]) == []
+
+
+def test_batch_rejects_mixed_step_counts():
+    with pytest.raises(InvalidConfig, match="step count"):
+        build_lattices([make_inputs(steps=20), make_inputs(steps=21)])
+
+
+def test_batch_raises_its_first_degenerate_rows_error():
+    ok = make_inputs(steps=50)
+    first = make_inputs(steps=1, rate=1.0, volatility=0.05)
+    second = make_inputs(steps=1, rate=2.0, volatility=0.05)
+    with pytest.raises(DegenerateProbability) as expected:
+        tree_parameters(first)
+    with pytest.raises(DegenerateProbability) as raised:
+        build_lattices([ok.replace(steps=1), first, second])
+    assert str(raised.value) == str(expected.value)
