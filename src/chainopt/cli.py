@@ -33,7 +33,7 @@ from .backtest import (
 )
 from .errors import ArbitrageViolation, ChainOptError, InputError, InvalidConfig
 from .greeks import GreekSet, Region, classify_region, delta_fd, delta_ms, greek_set
-from .implied_vol import IvSolution, SolverOptions, implied_vol
+from .implied_vol import IvSolution, SolverOptions, implied_vol, implied_vols
 from .market_data import (
     EnrichedQuote,
     GeneratorConfig,
@@ -289,20 +289,23 @@ def _pricing_inputs(quote: EnrichedQuote, config: RunConfig, sigma: float) -> Pr
     )
 
 
+def _solver_options(config: RunConfig) -> SolverOptions:
+    return SolverOptions(
+        price_tolerance=config.price_tolerance,
+        step_tolerance=config.step_tolerance,
+        max_iterations=config.max_iterations,
+    )
+
+
 def _analytics(
     quote: EnrichedQuote, config: RunConfig, with_greeks: bool
 ) -> tuple[IvSolution | None, GreekSet | None]:
     """The quote's IV solve (None when its mid breaks a no-arbitrage
     bound) and, if with_greeks and the solve converged, the Greeks at
     that IV."""
-    opts = SolverOptions(
-        price_tolerance=config.price_tolerance,
-        step_tolerance=config.step_tolerance,
-        max_iterations=config.max_iterations,
-    )
     try:
         solution = implied_vol(
-            quote.mid, _pricing_inputs(quote, config, config.sigma), opts
+            quote.mid, _pricing_inputs(quote, config, config.sigma), _solver_options(config)
         )
     except ArbitrageViolation:
         return None, None
@@ -334,16 +337,22 @@ def _select_bar(
 ) -> tuple[list[ContractAnalytics], list[ScoredContract], Universe, list[ReportEntry]]:
     """Rank one bar's quotes by the configured metric and keep the top-k
     and bottom-k. Returns the bar's analytics, the ranking, the universe
-    and the ranking's skipped entries. A quote without a converged IV
-    keeps an analytics row with nothing in it, so the ranking reports it."""
+    and the ranking's skipped entries. The bar's IVs are solved in
+    lockstep. A quote without a converged IV keeps an analytics row with
+    nothing in it, so the ranking reports it."""
     metric = _ranking_metric(config)
+    solutions = implied_vols(
+        [(quote.mid, _pricing_inputs(quote, config, config.sigma)) for quote in quotes],
+        _solver_options(config),
+    )
     snapshot = []
-    for quote in quotes:
-        solution, greeks = _analytics(quote, config, metric.kind is not MetricKind.IV)
-        iv = solution.sigma if solution is not None and solution.converged else None
-        values = () if greeks is None else (
-            greeks.delta, greeks.gamma, greeks.theta, greeks.vega, greeks.rho
-        )
+    for quote, solution in zip(quotes, solutions):
+        converged = isinstance(solution, IvSolution) and solution.converged
+        iv = solution.sigma if converged else None
+        values = ()
+        if converged and metric.kind is not MetricKind.IV:
+            greeks = greek_set(_pricing_inputs(quote, config, iv))
+            values = (greeks.delta, greeks.gamma, greeks.theta, greeks.vega, greeks.rho)
         snapshot.append(ContractAnalytics(quote.contract.ric, iv, *values))
     ranked, skipped = rank_by_metric(snapshot, metric)
     return snapshot, ranked, select_top_bottom(ranked, config.k, decision_time), skipped

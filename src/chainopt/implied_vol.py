@@ -18,6 +18,14 @@ bracket update and the best-iterate update.
 The seed is the Black-Scholes implied vol of the market price on the
 European twin, so a solve depends on its quote alone. The seed does not
 change the root, only how many prices it takes to reach it.
+
+One generator, ``_solve``, makes every decision: it yields each sigma it
+wants priced and is sent back the price. It prices nothing itself, so
+two drivers share it. ``implied_vol`` drives one quote with one
+``price_option`` call per probe. ``implied_vols`` drives a bar's quotes
+in lockstep: each round prices every unfinished quote's probe in one
+``build_lattices`` call. The prices, and so the solutions, are the same
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,12 +33,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
 from .errors import ArbitrageViolation, DegenerateProbability, DimensionMismatch
-from .pricing import ContractType, PricingInputs, black_scholes, price_option
+from .pricing import (
+    ContractType,
+    PricingInputs,
+    black_scholes,
+    build_lattices,
+    price_option,
+    tree_parameters,
+)
 
 SIGMA_MIN = 1e-4
 SIGMA_MAX = 5.0
@@ -134,20 +149,13 @@ def _no_arbitrage_bounds(inputs: PricingInputs) -> tuple[float, float]:
     return lower, upper
 
 
-def implied_vol(
-    market_price: float,
-    inputs: PricingInputs,
-    opts: SolverOptions = SolverOptions(),
-) -> IvSolution:
-    """Invert a market price to the volatility the lattice implies.
-
-    ``inputs.volatility`` is ignored; the contract terms, rate, step
-    count, and exercise style are taken from ``inputs``. The first probe
-    is at ``cold_seed``. Iterations count full-size price evaluations,
-    including the one at the seed; no other lattice is priced. When the
-    iteration cap is reached the best iterate is returned with
-    ``converged=False`` rather than raising.
-    """
+def _solve(
+    market_price: float, inputs: PricingInputs, opts: SolverOptions
+) -> Generator[float, float | None, IvSolution]:
+    """The solver: yields each sigma it wants priced and is sent back that
+    sigma's full-size lattice price, or None for a degenerate tree.
+    Returns the IvSolution. Raises ArbitrageViolation before its first
+    yield."""
     if market_price <= opts.price_tolerance:
         raise ArbitrageViolation(
             f"market price {market_price} is at or below the price tolerance "
@@ -166,16 +174,14 @@ def implied_vol(
     best_x, best_f = x, math.inf
     probes: list[tuple[float, float | None]] = []
 
-    def probe(sigma: float) -> float | None:
+    def probe(sigma: float) -> Generator[float, float | None, float | None]:
         """One full-size price at sigma: returns its residual, narrows the
         bracket, keeps the best iterate and records the probe for the
         next secant. None marks a lattice too coarse for this volatility;
         the price is effectively pinned low, so it counts as f < 0."""
         nonlocal lo, hi, best_x, best_f
-        try:
-            f = price_option(inputs.replace(volatility=sigma)) - market_price
-        except DegenerateProbability:
-            f = None
+        price = yield sigma
+        f = None if price is None else price - market_price
         if f is None or f < 0.0:
             lo = max(lo, sigma)
         else:
@@ -195,7 +201,7 @@ def implied_vol(
             return (f1 - f0) / (x1 - x0)
         return _twin(inputs, x1)[1]
 
-    f = probe(x)
+    f = yield from probe(x)
     used_newton = used_bisection = rejected = False
 
     def method_label() -> SolveMethod:
@@ -221,7 +227,7 @@ def implied_vol(
         secant = step is not None and SIGMA_MIN <= step <= SIGMA_MAX
         if not secant:
             step = 0.5 * (lo + hi)
-        f_step = probe(step)
+        f_step = yield from probe(step)
         # A rejected step keeps the iterate; its probe still narrowed the
         # bracket that the next pass bisects.
         rejected = secant and not (f_step is not None and abs(f_step) < abs(f))
@@ -234,6 +240,78 @@ def implied_vol(
         if step_size <= opts.step_tolerance:
             converged = f is not None and abs(f) <= opts.price_tolerance
             return IvSolution(x, len(probes), converged, method_label())
+
+
+def implied_vol(
+    market_price: float,
+    inputs: PricingInputs,
+    opts: SolverOptions = SolverOptions(),
+) -> IvSolution:
+    """Invert a market price to the volatility the lattice implies.
+
+    ``inputs.volatility`` is ignored; the contract terms, rate, step
+    count, and exercise style are taken from ``inputs``. The first probe
+    is at ``cold_seed``. Iterations count full-size price evaluations,
+    including the one at the seed; no other lattice is priced. When the
+    iteration cap is reached the best iterate is returned with
+    ``converged=False`` rather than raising. Each probe is one
+    ``price_option`` call.
+    """
+    solver = _solve(market_price, inputs, opts)
+    sigma = next(solver)
+    while True:
+        try:
+            price = price_option(inputs.replace(volatility=sigma))
+        except DegenerateProbability:
+            price = None
+        try:
+            sigma = solver.send(price)
+        except StopIteration as stop:
+            return stop.value
+
+
+def implied_vols(
+    quotes: Sequence[tuple[float, PricingInputs]],
+    opts: SolverOptions = SolverOptions(),
+) -> list[IvSolution | ArbitrageViolation]:
+    """implied_vol of every (market price, inputs) pair, solved in lockstep.
+
+    The quotes must share one step count. Each round prices the pending
+    probe of every unfinished quote in one ``build_lattices`` call; a
+    probe whose tree is degenerate is not priced and is sent None. Each
+    quote gets the IvSolution that implied_vol returns for it, or the
+    ArbitrageViolation that implied_vol raises for it.
+    """
+    results: list[IvSolution | ArbitrageViolation | None] = [None] * len(quotes)
+    pending: dict[int, tuple[Generator, float]] = {}
+    for index, (market_price, inputs) in enumerate(quotes):
+        solver = _solve(market_price, inputs, opts)
+        try:
+            pending[index] = solver, next(solver)
+        except ArbitrageViolation as error:
+            results[index] = error
+    while pending:
+        prices: dict[int, float | None] = {}
+        priced: list[tuple[int, PricingInputs]] = []
+        for index, (_, sigma) in pending.items():
+            row = quotes[index][1].replace(volatility=sigma)
+            try:
+                tree_parameters(row)
+            except DegenerateProbability:
+                prices[index] = None
+                continue
+            priced.append((index, row))
+        lattices = build_lattices([row for _, row in priced])
+        for (index, _), lattice in zip(priced, lattices):
+            prices[index] = lattice.root_value
+        for index, price in prices.items():
+            solver, _ = pending[index]
+            try:
+                pending[index] = solver, solver.send(price)
+            except StopIteration as stop:
+                results[index] = stop.value
+                del pending[index]
+    return results
 
 
 def portfolio_iv(weights, ivs: Sequence[float]) -> float:

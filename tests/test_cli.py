@@ -17,6 +17,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -32,6 +33,7 @@ from chainopt.market_data import (
     write_option_chain,
     write_spot_series,
 )
+from chainopt.pricing import tree_parameters
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str, str]:
@@ -868,6 +870,85 @@ class TestSubToleranceQuotes:
             "SYN240103C00107500",
             "SYN240103C00110000",
         }
+
+
+class TestUnsolvedQuotesInLockstep:
+    """select and backtest solve each bar's IVs in lockstep, and must
+    leave out exactly the quotes that iv leaves blank or unconverged: one
+    quoted below intrinsic value, and one whose mid implies a volatility
+    low enough that its solve meets degenerate trees."""
+
+    BELOW_INTRINSIC = "SYN240402P00110000"
+    NEAR_ZERO = "SYN240702C00102500"
+
+    @pytest.fixture(scope="class")
+    def unsolved_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("unsolved")
+        synth(root, "steps=20", "bars=6", "bar_interval_seconds=300", "seed=11")
+        chain = root / "chain.csv"
+        with open(chain, newline="") as handle:
+            stamps = sorted({row["Date-Time"] for row in csv.DictReader(handle)})
+        columns = ("Close Bid", "Close Ask", "Mid Close")
+        for ric, stamp, value in (
+            (self.BELOW_INTRINSIC, stamps[1], "0.0001"),
+            (self.NEAR_ZERO, stamps[2], "0.001"),
+        ):
+            set_prices(
+                chain, lambda row: (row["#RIC"], row["Date-Time"]) == (ric, stamp), columns, value
+            )
+        return root
+
+    def run(self, capsys, command, data, out, **extra):
+        args = chain_args(data, out, max_iterations=10, **extra)
+        args[args.index("steps=100")] = "steps=20"
+        assert run_cli(capsys, command, *args)[0] == 0
+
+    @staticmethod
+    def missing(out):
+        _, excluded = read_rows(out / "exclusions.csv")
+        return Counter(row[0] for row in excluded if row[1] == "missing_analytics")
+
+    def unsolved(self, capsys, data, out):
+        """{timestamp: rics} that iv leaves blank or unconverged."""
+        self.run(capsys, "iv", data, out)
+        unsolved: dict[str, list[str]] = {}
+        with open(out / "iv.csv", newline="") as handle:
+            for row in csv.DictReader(handle):
+                unsolved.setdefault(row["timestamp"], [])
+                if row["iv"] == "" or row["converged"] == "false":
+                    unsolved[row["timestamp"]].append(row["ric"])
+        return unsolved
+
+    def test_select_and_backtest_leave_out_what_iv_cannot_solve(
+        self, capsys, monkeypatch, tmp_path, unsolved_dir
+    ):
+        unsolved = self.unsolved(capsys, unsolved_dir, tmp_path / "iv")
+        by_bar = list(unsolved.values())
+        assert self.BELOW_INTRINSIC in by_bar[1]
+        assert self.NEAR_ZERO in by_bar[2]
+
+        module = sys.modules["chainopt.implied_vol"]
+        degenerate = []
+
+        def recording(inputs):
+            try:
+                return tree_parameters(inputs)
+            except DegenerateProbability:
+                degenerate.append(inputs.volatility)
+                raise
+
+        monkeypatch.setattr(module, "tree_parameters", recording)
+        self.run(capsys, "select", unsolved_dir, tmp_path / "select", metric="iv")
+        assert degenerate
+        assert self.missing(tmp_path / "select") == Counter(sum(by_bar, []))
+
+        # Each return row is ranked on the bar before it, so the last
+        # bar's quotes are never solved.
+        out = tmp_path / "backtest"
+        self.run(
+            capsys, "backtest", unsolved_dir, out, strategy="dynamic", estimation_window=2
+        )
+        assert self.missing(out) == Counter(sum(by_bar[:-1], []))
 
 
 def rows_by_quote(path, value_column):

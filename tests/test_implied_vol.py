@@ -25,10 +25,18 @@ from chainopt.implied_vol import (
     SolverOptions,
     cold_seed,
     implied_vol,
+    implied_vols,
     initial_guess,
     portfolio_iv,
 )
-from chainopt.pricing import ContractType, Exercise, black_scholes_price, price_option
+from chainopt.pricing import (
+    ContractType,
+    Exercise,
+    black_scholes_price,
+    build_lattices,
+    price_option,
+    tree_parameters,
+)
 
 from test_pricing import make_inputs
 
@@ -398,6 +406,110 @@ def test_price_within_tolerance_of_zero_rejected():
     solution = implied_vol(5e-7, inputs, SolverOptions(price_tolerance=1e-9))
     assert solution.converged
     assert abs(price_option(inputs.replace(volatility=solution.sigma)) - 5e-7) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# lockstep driver
+
+# One bar at N=20 under one SolverOptions(max_iterations=6): a name per
+# quote, its contract terms, and its market price (a float) or the
+# volatility it is priced at (a tuple). The shapes each name gives are
+# checked in test_lockstep_bar_covers_every_exit.
+LOCKSTEP_OPTS = SolverOptions(max_iterations=6)
+LOCKSTEP_BAR = {
+    "newton_put": (dict(strike=100.0, contract_type=P, exercise=AM), (0.3,)),
+    "newton_call": (dict(strike=100.0, maturity=0.5, contract_type=C, exercise=AM), (0.25,)),
+    "newton_european": (dict(strike=110.0, maturity=0.25, contract_type=C), (0.4,)),
+    "newton_high_vol": (dict(strike=100.0, contract_type=C, exercise=AM), (3.0,)),
+    "hybrid_converged": (
+        dict(strike=60.0, maturity=0.01, contract_type=C, exercise=AM), 40.03
+    ),
+    "hybrid_at_cap": (
+        dict(strike=90.0, maturity=2.0, rate=0.5, contract_type=C, exercise=AM),
+        66.89085240959584,
+    ),
+    "bisection_degenerate_at_cap": (
+        dict(strike=150.0, maturity=2.0, rate=0.2, contract_type=C, exercise=AM),
+        2.3836668178052927,
+    ),
+    "below_tolerance": (dict(strike=60.0, maturity=0.1, contract_type=P, exercise=AM), 5e-7),
+    "below_intrinsic": (dict(spot=80.0, strike=100.0, contract_type=P, exercise=AM), 15.0),
+    "above_spot": (dict(strike=100.0, contract_type=C, exercise=AM), 101.0),
+}
+
+
+def lockstep_quotes():
+    quotes = []
+    for terms, price in LOCKSTEP_BAR.values():
+        inputs = make_inputs(steps=20, **terms)
+        if isinstance(price, tuple):
+            price = price_option(inputs.replace(volatility=price[0]))
+        quotes.append((price, inputs))
+    return quotes
+
+
+def scalar_outcome(market, inputs):
+    """implied_vol's solution, or the ArbitrageViolation it raises."""
+    try:
+        return implied_vol(market, inputs, LOCKSTEP_OPTS)
+    except ArbitrageViolation as error:
+        return error
+
+
+def outcome_key(outcome):
+    if isinstance(outcome, IvSolution):
+        return repr(outcome)
+    return type(outcome), str(outcome)
+
+
+def test_lockstep_bar_covers_every_exit(probes):
+    outcomes = dict(zip(LOCKSTEP_BAR, (scalar_outcome(*q) for q in lockstep_quotes())))
+    for name, outcome in outcomes.items():
+        if name.startswith(("below", "above")):
+            assert isinstance(outcome, ArbitrageViolation)
+            continue
+        assert outcome.method.value == name.split("_")[0]
+        assert outcome.converged is not name.endswith("at_cap")
+        if name.endswith("at_cap"):
+            assert outcome.iterations == LOCKSTEP_OPTS.max_iterations
+    assert "price tolerance" in str(outcomes["below_tolerance"])
+    assert "static bounds" in str(outcomes["below_intrinsic"])
+    assert any(price is None for _, price in probes)
+
+
+def test_lockstep_matches_scalar_solver():
+    quotes = lockstep_quotes()
+    batch = implied_vols(quotes, LOCKSTEP_OPTS)
+    assert len(batch) == len(quotes)
+    for quote, outcome in zip(quotes, batch):
+        expected = outcome_key(scalar_outcome(*quote))
+        assert outcome_key(outcome) == expected
+        assert outcome_key(implied_vols([quote], LOCKSTEP_OPTS)[0]) == expected
+
+
+def test_lockstep_prices_each_round_in_one_call(monkeypatch, probes):
+    quotes = lockstep_quotes()
+    solutions = [scalar_outcome(*quote) for quote in quotes]
+    solutions = [s for s in solutions if isinstance(s, IvSolution)]
+    degenerate = sum(price is None for _, price in probes)
+    calls = []
+
+    def recording(rows):
+        for row in rows:
+            tree_parameters(row)
+        calls.append(len(rows))
+        return build_lattices(rows)
+
+    monkeypatch.setattr(sys.modules["chainopt.implied_vol"], "build_lattices", recording)
+    implied_vols(quotes, LOCKSTEP_OPTS)
+    # One call per round, and a quote is in every round until it exits.
+    assert len(calls) == max(s.iterations for s in solutions)
+    assert sum(calls) + degenerate == sum(s.iterations for s in solutions)
+    assert degenerate > 0
+
+
+def test_lockstep_empty_bar():
+    assert implied_vols([]) == []
 
 
 # ---------------------------------------------------------------------------
