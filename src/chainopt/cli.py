@@ -32,7 +32,15 @@ from .backtest import (
     write_report_bundle,
 )
 from .errors import ArbitrageViolation, ChainOptError, InputError, InvalidConfig
-from .greeks import GreekSet, Region, classify_region, delta_fd, delta_ms, greek_set
+from .greeks import (
+    GreekSet,
+    Region,
+    classify_region,
+    delta_fd,
+    delta_ms,
+    greek_set,  # noqa: F401  (bench/trace_cli.py wraps it at this name)
+    greek_sets,
+)
 from .implied_vol import IvSolution, SolverOptions, implied_vol, implied_vols
 from .market_data import (
     EnrichedQuote,
@@ -297,21 +305,47 @@ def _solver_options(config: RunConfig) -> SolverOptions:
     )
 
 
-def _analytics(
-    quote: EnrichedQuote, config: RunConfig, with_greeks: bool
-) -> tuple[IvSolution | None, GreekSet | None]:
-    """The quote's IV solve (None when its mid breaks a no-arbitrage
-    bound) and, if with_greeks and the solve converged, the Greeks at
-    that IV."""
+def _analytics(quote: EnrichedQuote, config: RunConfig) -> IvSolution | None:
+    """The quote's IV solve, or None when its mid breaks a no-arbitrage
+    bound."""
     try:
-        solution = implied_vol(
+        return implied_vol(
             quote.mid, _pricing_inputs(quote, config, config.sigma), _solver_options(config)
         )
     except ArbitrageViolation:
-        return None, None
-    if not (with_greeks and solution.converged):
-        return solution, None
-    return solution, greek_set(_pricing_inputs(quote, config, solution.sigma))
+        return None
+
+
+def _bar_ivs(quotes: Sequence[EnrichedQuote], config: RunConfig) -> list[IvSolution | None]:
+    """_analytics of each of one bar's quotes, solved in lockstep."""
+    solutions = implied_vols(
+        [(quote.mid, _pricing_inputs(quote, config, config.sigma)) for quote in quotes],
+        _solver_options(config),
+    )
+    return [solution if isinstance(solution, IvSolution) else None for solution in solutions]
+
+
+def _bar_greeks(
+    quotes: Sequence[EnrichedQuote],
+    config: RunConfig,
+    solutions: Sequence[IvSolution | None],
+) -> list[GreekSet | ReportEntry | None]:
+    """The Greeks of one bar's quotes at their converged IVs, priced in one
+    greek_sets call. A quote whose Greeks cannot be priced at its IV gets
+    its exclusion, named by the error's type, and an unsolved quote None."""
+    converged = [
+        index for index, solution in enumerate(solutions)
+        if solution is not None and solution.converged
+    ]
+    results: list[GreekSet | ReportEntry | None] = [None] * len(quotes)
+    greeks = greek_sets(
+        [_pricing_inputs(quotes[i], config, solutions[i].sigma) for i in converged]
+    )
+    for index, result in zip(converged, greeks):
+        if not isinstance(result, GreekSet):
+            result = ReportEntry(quotes[index].contract.ric, type(result).__name__, str(result))
+        results[index] = result
+    return results
 
 
 def _ranking_metric(config: RunConfig) -> RankingMetric:
@@ -337,25 +371,30 @@ def _select_bar(
 ) -> tuple[list[ContractAnalytics], list[ScoredContract], Universe, list[ReportEntry]]:
     """Rank one bar's quotes by the configured metric and keep the top-k
     and bottom-k. Returns the bar's analytics, the ranking, the universe
-    and the ranking's skipped entries. The bar's IVs are solved in
-    lockstep. A quote without a converged IV keeps an analytics row with
-    nothing in it, so the ranking reports it."""
+    and the skipped entries. The bar's IVs are solved in lockstep, and
+    for a Greek metric its Greeks are priced in one batch. A quote
+    without a converged IV keeps an analytics row with nothing in it, so
+    the ranking reports it; a quote whose Greeks cannot be priced is
+    left out with its own exclusion."""
     metric = _ranking_metric(config)
-    solutions = implied_vols(
-        [(quote.mid, _pricing_inputs(quote, config, config.sigma)) for quote in quotes],
-        _solver_options(config),
-    )
-    snapshot = []
-    for quote, solution in zip(quotes, solutions):
-        converged = isinstance(solution, IvSolution) and solution.converged
-        iv = solution.sigma if converged else None
+    solutions = _bar_ivs(quotes, config)
+    if metric.kind is MetricKind.IV:
+        greeks: list[GreekSet | ReportEntry | None] = [None] * len(quotes)
+    else:
+        greeks = _bar_greeks(quotes, config, solutions)
+    snapshot, failed = [], []
+    for quote, solution, result in zip(quotes, solutions, greeks):
+        if isinstance(result, ReportEntry):
+            failed.append(result)
+            continue
+        iv = solution.sigma if solution is not None and solution.converged else None
         values = ()
-        if converged and metric.kind is not MetricKind.IV:
-            greeks = greek_set(_pricing_inputs(quote, config, iv))
-            values = (greeks.delta, greeks.gamma, greeks.theta, greeks.vega, greeks.rho)
+        if result is not None:
+            values = (result.delta, result.gamma, result.theta, result.vega, result.rho)
         snapshot.append(ContractAnalytics(quote.contract.ric, iv, *values))
     ranked, skipped = rank_by_metric(snapshot, metric)
-    return snapshot, ranked, select_top_bottom(ranked, config.k, decision_time), skipped
+    universe = select_top_bottom(ranked, config.k, decision_time)
+    return snapshot, ranked, universe, failed + skipped
 
 
 def _quotes_by_bar(quotes: Sequence[EnrichedQuote]) -> dict[datetime, list[EnrichedQuote]]:
@@ -475,7 +514,7 @@ def cmd_iv(config: RunConfig) -> int:
     quotes, exclusions = _load_quotes(config)
     rows = []
     for quote in quotes:
-        solution, _ = _analytics(quote, config, with_greeks=False)
+        solution = _analytics(quote, config)
         row = [quote.contract.ric, quote.timestamp.isoformat(), repr(quote.mid)]
         if solution is None:
             rows.append(row + ["", "0", "", "false"])
@@ -494,13 +533,25 @@ def cmd_iv(config: RunConfig) -> int:
 
 
 def cmd_greeks(config: RunConfig) -> int:
-    """IV-implied Greeks and exercise region for every (contract, bar)."""
+    """IV-implied Greeks and exercise region for every (contract, bar).
+
+    Each bar's IVs are solved in lockstep and its Greeks priced in one
+    batch; rows and exclusions keep the chain's order."""
     quotes, exclusions = _load_quotes(config)
+    # A quote's analytics depend on the quote alone, so equal quotes can
+    # share one entry.
+    analytics = {}
+    for bar_quotes in _quotes_by_bar(quotes).values():
+        solutions = _bar_ivs(bar_quotes, config)
+        greeks = _bar_greeks(bar_quotes, config, solutions)
+        analytics.update(zip(bar_quotes, zip(solutions, greeks)))
     rows = []
     for quote in quotes:
-        solution, greeks = _analytics(quote, config, with_greeks=True)
+        solution, greeks = analytics[quote]
         row = [quote.contract.ric, quote.timestamp.isoformat()]
-        if greeks is None:
+        if isinstance(greeks, ReportEntry):
+            exclusions.append(greeks)
+        if not isinstance(greeks, GreekSet):
             rows.append(row + [""] * 7)
             continue
         rows.append(

@@ -12,9 +12,10 @@ with eps = +sqrt(dt) with probability q_rn and -sqrt(dt) otherwise,
 and mu = (r - q - sigma^2/2)/sigma. Gamma is the second divided
 difference over the three step-2 nodes, and theta the change from the
 root to the middle one, which sits at the root's spot since u*d = 1.
-Vega and rho reprice at bumped volatility and rate; greek_set solves its
-lattice and those four reprices in one batched induction. The bumped
-delta_fd, gamma_fd and theta_fd are kept as cross-checks.
+Vega and rho reprice at bumped volatility and rate; greek_sets solves
+every row's lattice and those four reprices in one build_lattices call,
+and greek_set is its one-row case. The bumped delta_fd, gamma_fd and
+theta_fd are kept as cross-checks.
 """
 
 from __future__ import annotations
@@ -22,9 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 from .errors import (
     BumpExceedsMaturity,
+    DegenerateProbability,
     InvalidBump,
     InvalidConfig,
     NegativeVolAfterBump,
@@ -216,21 +219,50 @@ def rho_fd(inputs: PricingInputs, rate_bump: float = RHO_BUMP) -> float:
     return _central_difference(price_option(up), price_option(down), rate_bump)
 
 
-def greek_set(inputs: PricingInputs) -> GreekSet:
-    """All five Greeks, and the exercise region.
+def greek_sets(
+    rows: Sequence[PricingInputs],
+) -> list[GreekSet | DegenerateProbability | NegativeVolAfterBump]:
+    """greek_set of every row, with every priced row's lattice and its
+    four vega/rho reprices solved in one build_lattices call.
 
-    Delta, gamma and theta come off one lattice's first two steps, so
-    steps >= 2. European contracts have no region and take the
-    continuation delta. Vega and rho reprice at the default bumps, as
-    vega_fd and rho_fd do, in the same batched induction as the lattice.
+    The rows must share one step count, of at least 2. A row whose own
+    tree or one of whose bumped trees is degenerate, or whose volatility
+    does not exceed VEGA_BUMP, is not priced: it gets the error that
+    greek_set raises for it, checked in the same order.
     """
-    if inputs.steps < 2:
-        raise InvalidConfig(f"steps must be >= 2 for lattice Greeks, got {inputs.steps}")
-    # The unbumped tree's degenerate probability is reported before any
-    # bump is checked, as when it was solved on its own first.
-    tree_parameters(inputs)
-    rows = [inputs, *_vol_bumped(inputs, VEGA_BUMP), *_rate_bumped(inputs, RHO_BUMP)]
-    lattice, vol_up, vol_down, rate_up, rate_down = build_lattices(rows)
+    for inputs in rows:
+        if inputs.steps < 2:
+            raise InvalidConfig(
+                f"steps must be >= 2 for lattice Greeks, got {inputs.steps}"
+            )
+    results: list[GreekSet | DegenerateProbability | NegativeVolAfterBump | None]
+    results = [None] * len(rows)
+    priced: list[int] = []
+    batch: list[PricingInputs] = []
+    for index, inputs in enumerate(rows):
+        try:
+            # The unbumped tree's degenerate probability is reported
+            # before any bump is checked, as when it was solved first.
+            tree_parameters(inputs)
+            bumped = [*_vol_bumped(inputs, VEGA_BUMP), *_rate_bumped(inputs, RHO_BUMP)]
+            for row in bumped:
+                tree_parameters(row)
+        except (DegenerateProbability, NegativeVolAfterBump) as error:
+            results[index] = error
+            continue
+        priced.append(index)
+        batch += [inputs, *bumped]
+    lattices = build_lattices(batch)
+    for k, index in enumerate(priced):
+        results[index] = _lattice_greeks(*lattices[5 * k : 5 * k + 5])
+    return results
+
+
+def _lattice_greeks(
+    lattice: Lattice, vol_up: Lattice, vol_down: Lattice, rate_up: Lattice, rate_down: Lattice
+) -> GreekSet:
+    """The GreekSet off a row's lattice and its four vega/rho reprices."""
+    inputs = lattice.inputs
     region = _root_region(lattice) if inputs.exercise is Exercise.AMERICAN else None
     low, mid, high = lattice.node_values[2].tolist()
     s_low, s_mid, s_high = lattice.spot_grid(2).tolist()
@@ -244,3 +276,18 @@ def greek_set(inputs: PricingInputs) -> GreekSet:
         rho=_central_difference(rate_up.root_value, rate_down.root_value, RHO_BUMP),
         region=region,
     )
+
+
+def greek_set(inputs: PricingInputs) -> GreekSet:
+    """All five Greeks, and the exercise region: greek_sets of the one
+    row, raising its error.
+
+    Delta, gamma and theta come off one lattice's first two steps, so
+    steps >= 2. European contracts have no region and take the
+    continuation delta. Vega and rho reprice at the default bumps, as
+    vega_fd and rho_fd do, in the same batched induction as the lattice.
+    """
+    (result,) = greek_sets([inputs])
+    if isinstance(result, GreekSet):
+        return result
+    raise result

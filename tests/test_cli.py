@@ -492,8 +492,140 @@ class TestGreeksCommand:
         args = chain_args(data_dir, tmp_path) + ["--set", "steps=1"]
         code, _, err = run_cli(capsys, "greeks", *args)
         assert code == 1
-        assert "steps" in err
+        assert err == "error: steps must be >= 2 for lattice Greeks, got 1\n"
         assert not (tmp_path / "greeks.csv").exists()
+
+
+class TestGreeksBarByBar:
+    """greeks solves each bar's IVs in lockstep and prices the bar's Greeks
+    in one batch. Its rows and exclusions are those of solving the chain
+    quote by quote with implied_vol and greek_set, where a quote whose
+    Greeks cannot be priced at its IV is excluded, not fatal."""
+
+    # An at-the-money call at the first bar, spot 100, whose mid of 0.016
+    # implies a volatility of about 8.1e-4, below the 1e-3 vega bump.
+    LOW_IV = "SYN240402C00100000"
+    BELOW_INTRINSIC = "SYN240402P00110000"
+    # A deep out-of-the-money call at the first bar whose solve needs 5
+    # prices.
+    SLOW = "SYN240402C00110000"
+    SETTINGS = dict(steps=50, rate=0.0, max_iterations=3)
+
+    @pytest.fixture(scope="class")
+    def shuffled_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("greeks_bars")
+        synth(root, "steps=50", "rate=0.0", "bars=3")
+        chain = root / "chain.csv"
+        with open(chain, newline="") as handle:
+            stamps = sorted({row["Date-Time"] for row in csv.DictReader(handle)})
+        columns = ("Close Bid", "Close Ask", "Mid Close")
+        for ric, stamp, value in (
+            (self.LOW_IV, stamps[0], "0.016"),
+            (self.BELOW_INTRINSIC, stamps[1], "0.0001"),
+            (self.SLOW, stamps[0], "0.002"),
+        ):
+            set_prices(
+                chain, lambda row: (row["#RIC"], row["Date-Time"]) == (ric, stamp), columns, value
+            )
+        with open(chain, newline="") as handle:
+            header, *rows = list(csv.reader(handle))
+        random.Random(17).shuffle(rows)
+        with open(chain, "w", newline="") as handle:
+            csv.writer(handle).writerows([header] + rows)
+        return root
+
+    def args(self, data, out, **extra):
+        return chain_args(data, out, **self.SETTINGS, **extra)
+
+    def serial(self, data):
+        """greeks.csv's rows and exclusions.csv's entries, solved quote by
+        quote in chain order."""
+        overrides = {"chain_path": str(data / "chain.csv"), "spot_path": str(data / "spot.csv")}
+        overrides.update({key: str(value) for key, value in self.SETTINGS.items()})
+        config = make_config({}, overrides)
+        quotes, exclusions = chainopt.cli._load_quotes(config)
+        opts = chainopt.cli._solver_options(config)
+        rows = [["ric", "timestamp", "iv", "delta", "gamma", "theta", "vega", "rho", "region"]]
+        excluded = [[entry.ric, entry.reason, entry.detail] for entry in exclusions]
+        for quote in quotes:
+            ric = quote.contract.ric
+            row = [ric, quote.timestamp.isoformat()]
+            try:
+                solution = chainopt.implied_vol(
+                    quote.mid, chainopt.cli._pricing_inputs(quote, config, config.sigma), opts
+                )
+            except errors.ArbitrageViolation:
+                solution = None
+            greeks = None
+            if solution is not None and solution.converged:
+                inputs = chainopt.cli._pricing_inputs(quote, config, solution.sigma)
+                try:
+                    greeks = chainopt.greek_set(inputs)
+                except (errors.NegativeVolAfterBump, DegenerateProbability) as error:
+                    excluded.append([ric, type(error).__name__, str(error)])
+            if greeks is None:
+                rows.append(row + [""] * 7)
+                continue
+            values = (greeks.delta, greeks.gamma, greeks.theta, greeks.vega, greeks.rho)
+            region = greeks.region.value if greeks.region is not None else ""
+            rows.append(row + [repr(solution.sigma)] + [repr(v) for v in values] + [region])
+        return rows, excluded
+
+    def test_rows_and_exclusions_are_the_serial_ones(self, capsys, tmp_path, shuffled_dir):
+        code, _, err = run_cli(capsys, "greeks", *self.args(shuffled_dir, tmp_path / "out"))
+        assert code == 0, err
+        rows, excluded = self.serial(shuffled_dir)
+        stamps = [row[1] for row in rows[1:]]
+        assert stamps != sorted(stamps)
+        assert [entry[:2] for entry in excluded] == [[self.LOW_IV, "NegativeVolAfterBump"]]
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows(rows)
+        assert (tmp_path / "out" / "greeks.csv").read_bytes() == expected.read_bytes()
+        with open(tmp_path / "out" / "exclusions.csv", newline="") as handle:
+            assert list(csv.reader(handle))[1:] == excluded
+
+        # The quote below intrinsic has no IV, and the slow solve stops
+        # unconverged at max_iterations.
+        assert run_cli(capsys, "iv", *self.args(shuffled_dir, tmp_path / "iv"))[0] == 0
+        with open(tmp_path / "iv" / "iv.csv", newline="") as handle:
+            unsolved = {
+                (row["ric"], row["iv"] != "")
+                for row in csv.DictReader(handle)
+                if row["converged"] == "false"
+            }
+        assert unsolved == {(self.BELOW_INTRINSIC, False), (self.SLOW, True)}
+
+    def test_one_greeks_call_per_bar(self, capsys, monkeypatch, tmp_path, data_dir):
+        assert run_cli(capsys, "iv", *chain_args(data_dir, tmp_path / "iv"))[0] == 0
+        with open(tmp_path / "iv" / "iv.csv", newline="") as handle:
+            solved = list(csv.DictReader(handle))
+        converged = Counter(row["timestamp"] for row in solved if row["converged"] == "true")
+        calls: dict[str, list[int]] = {"chainopt.greeks": [], "chainopt.implied_vol": []}
+        for name, rows_per_call in calls.items():
+            module = sys.modules[name]
+
+            def counted(rows, real=module.build_lattices, rows_per_call=rows_per_call):
+                rows_per_call.append(len(rows))
+                return real(rows)
+
+            monkeypatch.setattr(module, "build_lattices", counted)
+        assert run_cli(capsys, "greeks", *chain_args(data_dir, tmp_path / "greeks"))[0] == 0
+        assert calls["chainopt.greeks"] == [5 * converged[stamp] for stamp in sorted(converged)]
+        assert sum(calls["chainopt.implied_vol"]) == sum(int(row["iterations"]) for row in solved)
+
+    @pytest.mark.parametrize(
+        "command, settings",
+        [("select", {}), ("backtest", {"strategy": "long_short"})],
+    )
+    def test_bar_commands_exclude_the_quote_once(
+        self, capsys, tmp_path, shuffled_dir, command, settings
+    ):
+        args = self.args(shuffled_dir, tmp_path, metric="delta", k=2, **settings)
+        code, _, err = run_cli(capsys, command, *args)
+        assert code == 0, err
+        _, written = read_rows(tmp_path / "exclusions.csv")
+        assert [row[0] for row in written if row[1] == "NegativeVolAfterBump"] == [self.LOW_IV]
 
 
 @pytest.fixture(scope="module")

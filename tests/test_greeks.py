@@ -32,6 +32,7 @@ from chainopt.greeks import (
     delta_ms,
     gamma_fd,
     greek_set,
+    greek_sets,
     rho_fd,
     theta_fd,
     vega_fd,
@@ -401,6 +402,44 @@ def test_greek_set_solves_one_induction_of_five_rows(monkeypatch, exercise):
         "build_lattice": [],
         "price_option": [],
     }
+
+
+def test_greek_sets_give_each_row_what_greek_set_gives_it(monkeypatch):
+    rows = [
+        american(steps=2, contract_type=ContractType.PUT),
+        american(rate=0.0, volatility=1e-3, steps=2),  # vega bump crosses zero
+        american(rate=1.0, volatility=1e-3, steps=2),  # degenerate tree
+        american(rate=0.1, volatility=0.1005, maturity=2.0, steps=2),  # degenerate bump
+        make_inputs(steps=2, strike=90.0),
+    ]
+    expected = []
+    for inputs in rows:
+        try:
+            expected.append(greek_set(inputs))
+        except (NegativeVolAfterBump, DegenerateProbability) as error:
+            expected.append((type(error), str(error)))
+    assert [type(e) for e in expected] == [
+        GreekSet, tuple, tuple, tuple, GreekSet
+    ]
+    batches = []
+    real = greeks_module.build_lattices
+
+    def counted(batch):
+        batches.append(len(batch))
+        return real(batch)
+
+    monkeypatch.setattr(greeks_module, "build_lattices", counted)
+    results = [
+        result if isinstance(result, GreekSet) else (type(result), str(result))
+        for result in greek_sets(rows)
+    ]
+    assert results == expected
+    assert batches == [10]
+
+
+def test_greek_sets_need_two_lattice_steps_in_every_row():
+    with pytest.raises(InvalidConfig, match="steps must be >= 2"):
+        greek_sets([american(steps=2), american(rate=0.0, volatility=1e-3, steps=1)])
 
 
 @pytest.mark.parametrize(

@@ -15,8 +15,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import chainopt.pricing as pricing_module
 from chainopt.errors import DegenerateProbability, InvalidConfig, NotEuropean
 from chainopt.pricing import (
+    BLOCK_NODES,
     ContractType,
     Exercise,
     PricingInputs,
@@ -480,3 +482,69 @@ def test_batch_raises_its_first_degenerate_rows_error():
     with pytest.raises(DegenerateProbability) as raised:
         build_lattices([ok.replace(steps=1), first, second])
     assert str(raised.value) == str(expected.value)
+
+
+def block_rows(count=40, steps=1000):
+    """count rows at one step count, of mixed type, exercise and moneyness."""
+    kinds = list(itertools.product(ContractType, Exercise))
+    return [
+        make_inputs(
+            strike=80.0 + i,
+            volatility=0.1 + 0.01 * i,
+            steps=steps,
+            contract_type=kinds[i % 4][0],
+            exercise=kinds[i % 4][1],
+        )
+        for i in range(count)
+    ]
+
+
+def counted_inductions(monkeypatch) -> list[int]:
+    """Record the row count of every block induction from here on."""
+    sizes: list[int] = []
+    real = pricing_module._induct
+
+    def counted(rows, params, n):
+        sizes.append(len(rows))
+        return real(rows, params, n)
+
+    monkeypatch.setattr(pricing_module, "_induct", counted)
+    return sizes
+
+
+def test_rows_past_one_block_match_their_single_lattices(monkeypatch):
+    rows = block_rows()
+    sizes = counted_inductions(monkeypatch)
+    lattices = build_lattices(rows)
+    per_block = BLOCK_NODES // 1001
+    assert sizes == [per_block, per_block, 40 - 2 * per_block]
+    for inputs, lattice in zip(rows, lattices, strict=True):
+        single = build_lattice(inputs)
+        assert lattice.inputs is inputs
+        assert [level.tobytes() for level in lattice.node_values] == [
+            level.tobytes() for level in single.node_values
+        ]
+
+
+def test_a_row_wider_than_a_block_is_solved_alone(monkeypatch):
+    monkeypatch.setattr(pricing_module, "BLOCK_NODES", 10)
+    rows = block_rows(count=3, steps=20)
+    sizes = counted_inductions(monkeypatch)
+    lattices = build_lattices(rows)
+    assert sizes == [1, 1, 1]
+    for inputs, lattice in zip(rows, lattices, strict=True):
+        assert lattice.root_value == price_option(inputs)
+
+
+def test_a_later_blocks_errors_come_before_any_induction(monkeypatch):
+    rows = block_rows()
+    degenerate = make_inputs(rate=1.0, volatility=0.01)
+    with pytest.raises(DegenerateProbability) as expected:
+        tree_parameters(degenerate)
+    sizes = counted_inductions(monkeypatch)
+    with pytest.raises(DegenerateProbability) as raised:
+        build_lattices(rows[:35] + [degenerate] + rows[35:])
+    assert str(raised.value) == str(expected.value)
+    with pytest.raises(InvalidConfig, match="got 1000 and 999"):
+        build_lattices(rows[:35] + [make_inputs(steps=999)] + rows[35:])
+    assert sizes == []
