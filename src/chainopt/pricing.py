@@ -6,8 +6,12 @@ probability q_rn = (exp((r - q)*dt) - d)/(u - d). Backward induction
 applies the early-exercise comparison at every node for American
 contracts. build_lattices is the only induction loop: it solves rows
 that share a step count side by side, in cache-sized blocks, and keeps
-their first three steps, which the Greeks read. build_lattice is its
-one-row case, and price_option is that lattice's root value.
+their first three steps, which the Greeks read. A block's rows lie
+node-major, node j of row r at flat index j*m + r, so every step works
+on its live nodes only and shrinks by one node per row; the intrinsic
+floor is split by spot-column parity so each step reads one slice of
+it. build_lattice is the one-row case, and price_option is that
+lattice's root value.
 A closed-form European price is included as an independent convergence
 reference; it is never used as a pricing substitute for American
 contracts.
@@ -31,9 +35,10 @@ RETAINED_STEP = 2
 
 # Nodes per induction block. An induction works on about 7 arrays of
 # rows * (N+1) doubles, under 1 MB at 16,384 nodes, so a block stays in
-# a 2 MB L2. At N=500 a row then took 0.49 ms in blocks of 32 rows,
-# against 0.66-0.72 ms in one batch of 150 and 0.77 ms in blocks of 5
-# (2-core Xeon VM).
+# a 2 MB L2. At N=500 a row then took 0.23 ms in blocks of 32 rows,
+# against 0.29 ms in blocks of 16, 0.25-0.27 ms in blocks of 64-128 and
+# 0.38-0.45 ms in one batch of 300; at N=1000 blocks of 16 were best at
+# 0.87-0.89 ms (2-core Xeon VM, node-major layout).
 BLOCK_NODES = 16_384
 
 
@@ -197,84 +202,63 @@ def _induct(
 
     Terminal values are the payoffs at the N+1 terminal spots; each
     earlier node is the discounted risk-neutral expectation of its two
-    successors, floored at intrinsic value for American exercise. The
-    rows lie end to end in one flat buffer of N+1 nodes each, so a step
-    is five elementwise operations however many rows there are. A node
-    past a row's live part may read the next row, but no live node ever
-    reads it back. Each node carries its row's coefficients, and a
+    successors, floored at intrinsic value for American exercise. The m
+    rows lie node-major in one flat buffer: node j of row r sits at
+    j*m + r, so step i's live nodes are exactly its first (i+1)*m
+    entries, a node's up successor lies m entries past its down one, and
+    a step is five elementwise operations however many rows there are.
+    Each node carries its row's coefficients, tiled with period m, and a
     European row's floor is -inf. Steps 0 to min(2, N) are copied out as
-    they pass.
+    they pass, and row r's nodes at a step are every m-th entry from r.
     """
-    m, width = len(rows), n + 1
+    m = len(rows)
 
     # One power and payoff table per row serves every step: the spot at
-    # node j of step i is S * u^(2j - i), i.e. column n - i + 2j. Rows
-    # lie 2 * width apart in the flat floor, so node j of row r, at flat
-    # index k = width * r + j, finds its floor at n - i + 2k. Each row's
-    # last slot is padding, read only past a row's live part.
+    # node j of step i is S * u^(2j - i), i.e. column n - i + 2j. A step
+    # reads columns of one parity only, so the table is split by column
+    # parity and laid out node-major, and each step's floor is one slice.
     exponents = np.arange(-n, n + 1, dtype=float)
-    floor = np.empty(2 * width * m)
-    european = []
+    intrinsic = np.empty((m, 2 * n + 1))
     for r, inputs in enumerate(rows):
-        start = 2 * width * r
-        intrinsic = floor[start : start + 2 * n + 1]
         powers = inputs.spot * params[r][1] ** exponents
-        _payoff_array(powers, inputs.strike, inputs.contract_type, intrinsic)
-        if inputs.exercise is not Exercise.AMERICAN:
-            european.append(intrinsic)
-    # Step n's values are the payoffs in the even slots.
-    values = floor[::2].copy()
-    for intrinsic in european:
-        intrinsic.fill(-math.inf)
+        _payoff_array(powers, inputs.strike, inputs.contract_type, intrinsic[r])
+    # Step n's values are the payoffs in the even columns.
+    values = intrinsic[:, ::2].T.ravel()
+    european = [
+        r for r, inputs in enumerate(rows) if inputs.exercise is not Exercise.AMERICAN
+    ]
     american = len(european) < m
+    if american:
+        for r in european:
+            intrinsic[r] = -math.inf
+        floors = (intrinsic[:, ::2].T.ravel(), intrinsic[:, 1::2].T.ravel())
+    coefficients = np.array([(q, 1.0 - q, disc) for *_, q, disc in params]).T[:, None]
+    q_up, q_down, discount = np.repeat(coefficients, n, axis=1).reshape(3, n * m)
 
-    # A single row takes float coefficients; a batch takes one per node.
-    batched = m > 1
-    if batched:
-        floor[2 * n + 1 :: 2 * width] = -math.inf
-        up_nodes, down_nodes, discount_nodes = (
-            np.repeat(column, width)
-            for column in zip(*((q, 1.0 - q, disc) for *_, q, disc in params))
-        )
-    else:
-        _, _, _, q_up, discount = params[0]
-        q_down = 1.0 - q_up
-
-    # Step i computes the first `offset + i` nodes, which end at the last
-    # row's node i. Two buffers take turns, and the down branch is scaled
-    # in place in the step it feeds.
-    offset = (m - 1) * width + 1
-    top = n + 2 * offset
+    # Two buffers take turns, and the down branch is scaled in place in
+    # the step it feeds.
     levels = [None] * (min(n, RETAINED_STEP) + 1)
     if n <= RETAINED_STEP:
         levels[n] = values.copy()
-    spare = np.empty(m * width)
+    spare = np.empty_like(values)
     for i in range(n - 1, -1, -1):
-        length = offset + i
-        if batched:
-            q_up, q_down, discount = (
-                up_nodes[:length], down_nodes[:length], discount_nodes[:length]
-            )
+        length = (i + 1) * m
         head = spare[:length]
-        np.multiply(values[1:], q_up, out=head)
-        down = values[:-1]
-        down *= q_down
+        np.multiply(values[m:], q_up[:length], out=head)
+        down = values[:length]
+        down *= q_down[:length]
         head += down
-        head *= discount
+        head *= discount[:length]
         if american:
-            np.maximum(head, floor[n - i : top + i : 2], out=head)
+            first = (n - i) // 2 * m
+            np.maximum(head, floors[(n - i) % 2][first : first + length], out=head)
         if i <= RETAINED_STEP:
             levels[i] = head.copy()
         spare = values
         values = head
 
     return [
-        Lattice(
-            n,
-            *params[r],
-            [level[r * width : r * width + i + 1] for i, level in enumerate(levels)],
-            inputs,
-        )
+        Lattice(n, *params[r], [level[r::m] for level in levels], inputs)
         for r, inputs in enumerate(rows)
     ]
 

@@ -416,6 +416,107 @@ def test_lattice_keeps_first_three_steps_bit_for_bit(key):
     assert flat == GOLDEN_FIRST_STEPS[key]
 
 
+# Steps 0-2 of every lattice in a grid at S=100, T=0.5, r=0.05, q=0.04,
+# sigma=0.25, as float.hex() of each node level by level, root first,
+# recorded from the flat-layout kernel (rows end to end, N+1 nodes each)
+# before the node-major layout replaced it. Keyed by (type, exercise, N,
+# strike).
+PINNED_LATTICE_HEX = {
+    ("call", "american", 1, 95.0): "0x1.65007bb44dc09p+3 0x0.0p+0 0x1.856221b9d5fb0p+4",
+    ("call", "american", 1, 100.0): "0x1.1ba79df1031bdp+3 0x0.0p+0 0x1.356221b9d5fb0p+4",
+    ("call", "american", 1, 105.0): "0x1.a49d805b70ee3p+2 0x0.0p+0 0x1.cac44373abf60p+3",
+    ("call", "european", 1, 95.0): "0x1.65007bb44dc09p+3 0x0.0p+0 0x1.856221b9d5fb0p+4",
+    ("call", "european", 1, 100.0): "0x1.1ba79df1031bdp+3 0x0.0p+0 0x1.356221b9d5fb0p+4",
+    ("call", "european", 1, 105.0): "0x1.a49d805b70ee3p+2 0x0.0p+0 0x1.cac44373abf60p+3",
+    ("put", "american", 1, 95.0): "0x1.729dd4fbdaea4p+2 0x1.668186ff5a770p+3 0x0.0p+0",
+    ("put", "american", 1, 100.0): "0x1.0c02be646706ap+3 0x1.0340c37fad3b8p+4 0x0.0p+0",
+    ("put", "american", 1, 105.0): "0x1.5eb6924ae0984p+3 0x1.5340c37fad3b8p+4 0x0.0p+0",
+    ("put", "european", 1, 95.0): "0x1.729dd4fbdaea4p+2 0x1.668186ff5a770p+3 0x0.0p+0",
+    ("put", "european", 1, 100.0): "0x1.0c02be646706ap+3 0x1.0340c37fad3b8p+4 0x0.0p+0",
+    ("put", "european", 1, 105.0): "0x1.5eb6924ae0984p+3 0x1.5340c37fad3b8p+4 0x0.0p+0",
+    ("call", "american", 2, 95.0): "0x1.3cda0c162f060p+3 0x1.2e9c68bbb98aep+1 0x1.25e11617d754bp+4 0x0.0p+0 0x1.4000000000000p+2 0x1.0b3867c4354c4p+5",
+    ("call", "american", 2, 100.0): "0x1.9664b18cc97c5p+2 0x0.0p+0 0x1.adbefc63925e5p+3 0x0.0p+0 0x0.0p+0 0x1.c670cf886a988p+4",
+    ("call", "american", 2, 105.0): "0x1.4eda036aa467bp+2 0x0.0p+0 0x1.6217e234a3fb9p+3 0x0.0p+0 0x0.0p+0 0x1.7670cf886a988p+4",
+    ("call", "european", 2, 95.0): "0x1.3cda0c162f060p+3 0x1.2e9c68bbb98aep+1 0x1.25e11617d754bp+4 0x0.0p+0 0x1.4000000000000p+2 0x1.0b3867c4354c4p+5",
+    ("call", "european", 2, 100.0): "0x1.9664b18cc97c5p+2 0x0.0p+0 0x1.adbefc63925e5p+3 0x0.0p+0 0x0.0p+0 0x1.c670cf886a988p+4",
+    ("call", "european", 2, 105.0): "0x1.4eda036aa467bp+2 0x0.0p+0 0x1.6217e234a3fb9p+3 0x0.0p+0 0x0.0p+0 0x1.7670cf886a988p+4",
+    ("put", "american", 2, 95.0): "0x1.2250f5bf9d726p+2 0x1.19ff932b582cbp+3 0x0.0p+0 0x1.11eb33024e99cp+4 0x0.0p+0 0x0.0p+0",
+    ("put", "american", 2, 100.0): "0x1.8319cf1ef191cp+2 0x1.78028993392b0p+3 0x0.0p+0 0x1.61eb33024e99cp+4 0x0.0p+0 0x0.0p+0",
+    ("put", "american", 2, 105.0): "0x1.3ada2b4c02901p+3 0x1.0c0144c99c958p+4 0x1.49705674b7a1ap+1 0x1.b1eb33024e99cp+4 0x1.4000000000000p+2 0x0.0p+0",
+    ("put", "european", 2, 95.0): "0x1.2250f5bf9d726p+2 0x1.19ff932b582cbp+3 0x0.0p+0 0x1.11eb33024e99cp+4 0x0.0p+0 0x0.0p+0",
+    ("put", "european", 2, 100.0): "0x1.771af273914f5p+2 0x1.6c5ba8c886152p+3 0x0.0p+0 0x1.61eb33024e99cp+4 0x0.0p+0 0x0.0p+0",
+    ("put", "european", 2, 105.0): "0x1.33d4d3d27a53bp+3 0x1.052f6c4a51302p+4 0x1.49705674b7a1ap+1 0x1.b1eb33024e99cp+4 0x1.4000000000000p+2 0x0.0p+0",
+    ("call", "american", 3, 95.0): "0x1.4122331ee3c42p+3 0x1.cdc107dae136cp+1 0x1.11960928aeb0bp+4 0x0.0p+0 0x1.e25772f5d058cp+2 0x1.ba5215ab8ef70p+4",
+    ("call", "american", 3, 100.0): "0x1.edf0e26900449p+2 0x1.3b1ef6f2d83e9p+1 0x1.af863749b3237p+3 0x0.0p+0 0x1.492bb9fd0a969p+2 0x1.6a8f58bb7e7a8p+4",
+    ("call", "american", 3, 105.0): "0x1.5a00fbf64a088p+2 0x1.50f9cc159e8d0p+0 0x1.3c486aa290637p+3 0x0.0p+0 0x1.6000020889a8ep+1 0x1.1b394ddbf7afdp+4",
+    ("call", "european", 3, 95.0): "0x1.40f0646ddb405p+3 0x1.cdc107dae136cp+1 0x1.116201f86af1cp+4 0x0.0p+0 0x1.e25772f5d058cp+2 0x1.b9e5639b05455p+4",
+    ("call", "european", 3, 100.0): "0x1.edf0e26900449p+2 0x1.3b1ef6f2d83e9p+1 0x1.af863749b3237p+3 0x0.0p+0 0x1.492bb9fd0a969p+2 0x1.6a8f58bb7e7a8p+4",
+    ("call", "european", 3, 105.0): "0x1.5a00fbf64a088p+2 0x1.50f9cc159e8d0p+0 0x1.3c486aa290637p+3 0x0.0p+0 0x1.6000020889a8ep+1 0x1.1b394ddbf7afdp+4",
+    ("put", "american", 3, 95.0): "0x1.2ea5277e8784cp+2 0x1.01ff136227e3cp+3 0x1.3ce045602a5d0p+0 0x1.aed827184dfd8p+3 0x1.34d207fa50c8cp+1 0x0.0p+0",
+    ("put", "american", 3, 100.0): "0x1.d38194fcdf499p+2 0x1.7b5ff0db62d91p+3 0x1.46e4e69a52c5cp+1 0x1.276c138c26fecp+4 0x1.3e9576827dcd1p+2 0x0.0p+0",
+    ("put", "american", 3, 105.0): "0x1.3c2f013d9b873p+3 0x1.f4c0ce549dce6p+3 0x1.ef59aa84905d0p+1 0x1.776c138c26fecp+4 0x1.e2c1e907d335dp+2 0x0.0p+0",
+    ("put", "european", 3, 95.0): "0x1.2a7da66ef5eb3p+2 0x1.fbe53749072d9p+2 0x1.3ce045602a5d0p+0 0x1.a6f3ea588463bp+3 0x1.34d207fa50c8cp+1 0x0.0p+0",
+    ("put", "european", 3, 100.0): "0x1.cea7234fc81bep+2 0x1.76a5150c337e8p+3 0x1.46e4e69a52c5cp+1 0x1.22d0000bc8fc8p+4 0x1.3e9576827dcd1p+2 0x0.0p+0",
+    ("put", "european", 3, 105.0): "0x1.396850184d264p+3 0x1.ef578e73e3665p+3 0x1.ef59aa84905d0p+1 0x1.72260aeb4fc75p+4 0x1.e2c1e907d335dp+2 0x0.0p+0",
+    ("call", "american", 20, 95.0): "0x1.39e2530bad449p+3 0x1.d30f22a777cdep+2 0x1.8d3938190cfb6p+3 0x1.4c8a9d96d492cp+2 0x1.2f367a15f5ee8p+3 0x1.eecd6f4113e29p+3",
+    ("call", "american", 20, 100.0): "0x1.c35e27f130b30p+2 0x1.3e0f14e598e75p+2 0x1.26b9f4ef25e11p+3 0x1.a807629da6bf2p+1 0x1.abcc7ab2d6911p+2 0x1.7a80abe30ba52p+3",
+    ("call", "american", 20, 105.0): "0x1.49feafb8d0593p+2 0x1.bebd44e5fb66fp+1 0x1.b85c8b7043635p+2 0x1.1c938a2425479p+1 0x1.3339f3cac5229p+2 0x1.211ebb630d497p+3",
+    ("call", "european", 20, 95.0): "0x1.399891144bbf0p+3 0x1.d2c979a5343e7p+2 0x1.8cc7495009f09p+3 0x1.4c6d3a29cbc40p+2 0x1.2efedfc108482p+3 0x1.ee1f4b44ec09bp+3",
+    ("call", "european", 20, 100.0): "0x1.c31506fd9ba86p+2 0x1.3defe89be08aep+2 0x1.267fc017e262ep+3 0x1.a7f045f201f4cp+1 0x1.ab99136a2b39ep+2 0x1.7a24ed60b9490p+3",
+    ("call", "european", 20, 105.0): "0x1.49dd346993944p+2 0x1.bea34708eb4c6p+1 0x1.b825ef2671125p+2 0x1.1c8af3506a6dfp+1 0x1.3323fc3960704p+2 0x1.20f29754c69dep+3",
+    ("put", "american", 20, 95.0): "0x1.1e8da41d1fbdfp+2 0x1.73b8329e315dfp+2 0x1.8f964b7c0390dp+1 0x1.da534d5a71b9ep+2 0x1.0b42d102ee115p+2 0x1.05fd4eeb11bf3p+1",
+    ("put", "american", 20, 100.0): "0x1.a94bc2f76d02cp+2 0x1.0d72e9030d016p+3 0x1.35ad84c47852ep+2 0x1.4f9f038561cdbp+3 0x1.945075a37c849p+2 0x1.aa7f366ec5e5fp+1",
+    ("put", "american", 20, 105.0): "0x1.34fb9d3e86939p+3 0x1.7b9f1efb50160p+3 0x1.da6816bb09bf1p+2 0x1.cae78301b88a0p+3 0x1.2b243cb02216cp+3 0x1.5c5bbe285d0ebp+2",
+    ("put", "european", 20, 95.0): "0x1.1bcdffbbd6e17p+2 0x1.6feb5cdc332ecp+2 0x1.8c3c7ea800beap+1 0x1.d52060eb8e0a8p+2 0x1.08e35bbb76c69p+2 0x1.04102d8374ec4p+1",
+    ("put", "european", 20, 100.0): "0x1.a3cb47e46378cp+2 0x1.09c78f2670d78p+3 0x1.320c7f5db377dp+2 0x1.4ac655ad7ca78p+3 0x1.8f601143c77e2p+2 0x1.a5e9793316062p+1",
+    ("put", "european", 20, 105.0): "0x1.31566c51f1e8cp+3 0x1.76b715d7bc7f1p+3 0x1.d5b040ce61f83p+2 0x1.c45db1d531ccep+3 0x1.27e62dd999616p+3 0x1.59717221dbbacp+2",
+    ("call", "american", 500, 95.0): "0x1.37d591666b2b8p+3 0x1.278b910884774p+3 0x1.483e0d40ed1bep+3 0x1.17ca9ad4479fep+3 0x1.3769da93bc202p+3 0x1.5931e5f152eeep+3",
+    ("call", "american", 500, 100.0): "0x1.c8a24e9827748p+2 0x1.ad97fd76d761ap+2 0x1.e3dda8be011e5p+2 0x1.93a4a30297eafp+2 0x1.c7ba2e4b34090p+2 0x1.001a319233790p+3",
+    ("call", "american", 500, 105.0): "0x1.4520f4e5bc61ep+2 0x1.2f87653788819p+2 0x1.5ae0ab84f9055p+2 0x1.1af829863bfa9p+2 0x1.443aca6576b40p+2 0x1.71aeb4c3a45bap+2",
+    ("call", "european", 500, 95.0): "0x1.37897322b3d1dp+3 0x1.2747ce2d0b41fp+3 0x1.47e986188a299p+3 0x1.178e61f045758p+3 0x1.371e819c4c879p+3 0x1.58d421c16dda4p+3",
+    ("call", "european", 500, 100.0): "0x1.c8562774d9eedp+2 0x1.ad54de3c6a7c2p+2 0x1.e3886b4720d3ap+2 0x1.936994373080bp+2 0x1.c76ef1c7e7a6cp+2 0x1.ffd514bbe0972p+2",
+    ("call", "european", 500, 105.0): "0x1.44fbb6f9c90fdp+2 0x1.2f66e54576441p+2 0x1.5ab6a81f36e07p+2 0x1.1adbda874df96p+2 0x1.441612e2171f4p+2 0x1.717f5d1864716p+2",
+    ("put", "american", 500, 95.0): "0x1.1a0e77716498cp+2 0x1.2b316df54799ep+2 0x1.08db18c2a264cp+2 0x1.3d060d24f9e98p+2 0x1.194be20f639abp+2 0x1.f0b4d842d4226p+1",
+    ("put", "american", 500, 100.0): "0x1.ad57cb97b5045p+2 0x1.c4230a8405940p+2 0x1.96781ddcaad07p+2 0x1.dba763235fc80p+2 0x1.ac89d9731c5cap+2 0x1.80525d25d4379p+2",
+    ("put", "american", 500, 105.0): "0x1.327cc5c6f9feep+3 0x1.40b23e66d25b4p+3 0x1.243b8fc619bc3p+3 0x1.4f3f514587a53p+3 0x1.321952a3ea728p+3 0x1.16522ae33d425p+3",
+    ("put", "european", 500, 95.0): "0x1.17afc3d8a80f0p+2 0x1.289ecd38cf2dap+2 0x1.06b08a6246daep+2 0x1.3a3bb435e713ep+2 0x1.16f13580eca56p+2 0x1.ecc0603236e36p+1",
+    ("put", "european", 500, 100.0): "0x1.a90c685ba2bfbp+2 0x1.bf817124f9f3ep+2 0x1.92834b822a294p+2 0x1.d6a9e559c92e7p+2 0x1.a84484dd77c1cp+2 0x1.7cae621f5cd8dp+2",
+    ("put", "european", 500, 105.0): "0x1.2ee5ad9a0d231p+3 0x1.3cd86d1bee44bp+3 0x1.20e775320b820p+3 0x1.4b1ec63b9195ep+3 0x1.2e86836271df8p+3 0x1.133d05a48e9c1p+3",
+}
+PINNED_STEPS = sorted({steps for _, _, steps, _ in PINNED_LATTICE_HEX})
+
+
+def pinned_inputs(kind, exercise, steps, strike) -> PricingInputs:
+    return make_inputs(
+        strike=strike,
+        maturity=0.5,
+        dividend_yield=0.04,
+        volatility=0.25,
+        steps=steps,
+        contract_type=ContractType(kind),
+        exercise=Exercise(exercise),
+    )
+
+
+def lattice_hex(lattice) -> str:
+    return " ".join(value.hex() for level in lattice.node_values for value in level.tolist())
+
+
+@pytest.mark.parametrize("key", sorted(PINNED_LATTICE_HEX))
+def test_lattice_bits_are_pinned(key):
+    lattice = build_lattice(pinned_inputs(*key))
+    assert lattice_hex(lattice) == PINNED_LATTICE_HEX[key]
+
+
+@pytest.mark.parametrize("steps", PINNED_STEPS)
+def test_lattice_bits_are_pinned_in_one_mixed_batch(steps):
+    keys = [key for key in sorted(PINNED_LATTICE_HEX) if key[2] == steps]
+    lattices = build_lattices([pinned_inputs(*key) for key in keys])
+    assert [lattice_hex(lattice) for lattice in lattices] == [
+        PINNED_LATTICE_HEX[key] for key in keys
+    ]
+
+
 # ---------------------------------------------------------------------------
 # batched induction
 
