@@ -12,6 +12,15 @@ on its live nodes only and shrinks by one node per row; the intrinsic
 floor is split by spot-column parity so each step reads one slice of
 it. build_lattice is the one-row case, and price_option is that
 lattice's root value.
+
+An induction of m rows of N steps runs on a plan: two value buffers,
+the two parity floors, the tiled coefficients and, for every step, the
+views of them it reads and writes. At small m a step's arithmetic is
+cheaper than making its views, so the views are made once per (N, m)
+and each call only refills the buffers. Each thread holds one plan,
+rebuilt when (N, m) changes, so threads never share buffers and a call
+never returns a view of them.
+
 A closed-form European price is included as an independent convergence
 reference; it is never used as a pricing substitute for American
 contracts.
@@ -20,6 +29,7 @@ contracts.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Sequence
@@ -192,6 +202,57 @@ def build_lattices(rows: Sequence[PricingInputs]) -> list[Lattice]:
     return lattices
 
 
+class _Plan:
+    """Buffers and step views for inductions of m rows of N steps.
+
+    It owns two ping-pong value buffers of (N+1)*m entries, the even and
+    odd parity floors, one 3 x N*m coefficient table (q, 1-q, discount),
+    the exponents -N..N and, per step from N-1 down to 0, the tuple
+    (up, q_up, head, down, q_down, discount, floor) of views into them.
+    Step i reads one buffer and writes the other, so i's views alternate
+    between the two.
+    """
+
+    def __init__(self, n: int, m: int) -> None:
+        self.shape = (n, m)
+        self.exponents = np.arange(-n, n + 1, dtype=float)
+        self.terminal = np.empty((n + 1) * m)
+        spare = np.empty_like(self.terminal)
+        self.floors = (np.empty((n + 1) * m), np.empty(n * m))
+        self.coefficients = np.empty((3, n * m))
+        q_up, q_down, discount = self.coefficients
+        self.steps = []
+        values = self.terminal
+        for i in range(n - 1, -1, -1):
+            length = (i + 1) * m
+            first = (n - i) // 2 * m
+            self.steps.append(
+                (
+                    values[m : m + length],
+                    q_up[:length],
+                    spare[:length],
+                    values[:length],
+                    q_down[:length],
+                    discount[:length],
+                    self.floors[(n - i) % 2][first : first + length],
+                )
+            )
+            values, spare = spare, values
+
+
+_plans = threading.local()
+
+
+def _plan(n: int, m: int) -> _Plan:
+    """This thread's plan, rebuilt when (N, m) changes."""
+    plan = getattr(_plans, "plan", None)
+    if plan is None or plan.shape != (n, m):
+        # Drop the old plan first, so the two are never held at once.
+        plan = _plans.plan = None
+        plan = _plans.plan = _Plan(n, m)
+    return plan
+
+
 def _induct(
     rows: Sequence[PricingInputs],
     params: Sequence[tuple[float, float, float, float, float]],
@@ -208,22 +269,29 @@ def _induct(
     entries, a node's up successor lies m entries past its down one, and
     a step is five elementwise operations however many rows there are.
     Each node carries its row's coefficients, tiled with period m, and a
-    European row's floor is -inf. Steps 0 to min(2, N) are copied out as
-    they pass, and row r's nodes at a step are every m-th entry from r.
+    European row's floor is -inf.
+
+    The buffers and views are this thread's plan for (N, m). Every entry
+    a step reads is written earlier in the same call: the terminal values,
+    the coefficients and, when any row is American, both floors are
+    refilled in full before the first step, and each step reads only what
+    the step before it wrote. Steps 0 to min(2, N) are copied out of the
+    plan as they pass, and row r's nodes at a step are every m-th entry
+    from r.
     """
     m = len(rows)
+    plan = _plan(n, m)
 
     # One power and payoff table per row serves every step: the spot at
     # node j of step i is S * u^(2j - i), i.e. column n - i + 2j. A step
     # reads columns of one parity only, so the table is split by column
     # parity and laid out node-major, and each step's floor is one slice.
-    exponents = np.arange(-n, n + 1, dtype=float)
     intrinsic = np.empty((m, 2 * n + 1))
     for r, inputs in enumerate(rows):
-        powers = inputs.spot * params[r][1] ** exponents
+        powers = inputs.spot * params[r][1] ** plan.exponents
         _payoff_array(powers, inputs.strike, inputs.contract_type, intrinsic[r])
     # Step n's values are the payoffs in the even columns.
-    values = intrinsic[:, ::2].T.ravel()
+    plan.terminal.reshape(n + 1, m)[:] = intrinsic[:, ::2].T
     european = [
         r for r, inputs in enumerate(rows) if inputs.exercise is not Exercise.AMERICAN
     ]
@@ -231,31 +299,28 @@ def _induct(
     if american:
         for r in european:
             intrinsic[r] = -math.inf
-        floors = (intrinsic[:, ::2].T.ravel(), intrinsic[:, 1::2].T.ravel())
-    coefficients = np.array([(q, 1.0 - q, disc) for *_, q, disc in params]).T[:, None]
-    q_up, q_down, discount = np.repeat(coefficients, n, axis=1).reshape(3, n * m)
+        even, odd = plan.floors
+        even.reshape(n + 1, m)[:] = intrinsic[:, ::2].T
+        odd.reshape(n, m)[:] = intrinsic[:, 1::2].T
+    plan.coefficients.reshape(3, n, m)[:] = np.array(
+        [(q, 1.0 - q, disc) for *_, q, disc in params]
+    ).T[:, None]
 
-    # Two buffers take turns, and the down branch is scaled in place in
-    # the step it feeds.
+    # The down branch is scaled in place in the step it feeds.
     levels = [None] * (min(n, RETAINED_STEP) + 1)
     if n <= RETAINED_STEP:
-        levels[n] = values.copy()
-    spare = np.empty_like(values)
-    for i in range(n - 1, -1, -1):
-        length = (i + 1) * m
-        head = spare[:length]
-        np.multiply(values[m:], q_up[:length], out=head)
-        down = values[:length]
-        down *= q_down[:length]
+        levels[n] = plan.terminal.copy()
+    i = n
+    for up, q_up, head, down, q_down, discount, floor in plan.steps:
+        i -= 1
+        np.multiply(up, q_up, out=head)
+        down *= q_down
         head += down
-        head *= discount[:length]
+        head *= discount
         if american:
-            first = (n - i) // 2 * m
-            np.maximum(head, floors[(n - i) % 2][first : first + length], out=head)
+            np.maximum(head, floor, out=head)
         if i <= RETAINED_STEP:
             levels[i] = head.copy()
-        spare = values
-        values = head
 
     return [
         Lattice(n, *params[r], [level[r::m] for level in levels], inputs)

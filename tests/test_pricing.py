@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -502,6 +504,15 @@ def lattice_hex(lattice) -> str:
     return " ".join(value.hex() for level in lattice.node_values for value in level.tolist())
 
 
+def pinned_batch(*keys):
+    """build_lattices of the pinned keys, checked against their bits."""
+    lattices = build_lattices([pinned_inputs(*key) for key in keys])
+    assert [lattice_hex(lattice) for lattice in lattices] == [
+        PINNED_LATTICE_HEX[key] for key in keys
+    ]
+    return lattices
+
+
 @pytest.mark.parametrize("key", sorted(PINNED_LATTICE_HEX))
 def test_lattice_bits_are_pinned(key):
     lattice = build_lattice(pinned_inputs(*key))
@@ -510,11 +521,98 @@ def test_lattice_bits_are_pinned(key):
 
 @pytest.mark.parametrize("steps", PINNED_STEPS)
 def test_lattice_bits_are_pinned_in_one_mixed_batch(steps):
-    keys = [key for key in sorted(PINNED_LATTICE_HEX) if key[2] == steps]
-    lattices = build_lattices([pinned_inputs(*key) for key in keys])
-    assert [lattice_hex(lattice) for lattice in lattices] == [
-        PINNED_LATTICE_HEX[key] for key in keys
+    pinned_batch(*[key for key in sorted(PINNED_LATTICE_HEX) if key[2] == steps])
+
+
+# ---------------------------------------------------------------------------
+# induction plans
+
+
+def other_rows(count):
+    """count rows at N=500 whose trees, payoffs and floors all differ from
+    the pinned ones."""
+    return build_lattices(
+        [
+            make_inputs(
+                strike=90.0 + 7.0 * i,
+                rate=0.08,
+                dividend_yield=0.01,
+                volatility=0.4 + 0.05 * i,
+                steps=500,
+                contract_type=list(ContractType)[i % 2],
+                exercise=Exercise.AMERICAN,
+            )
+            for i in range(count)
+        ]
+    )
+
+
+def test_a_reused_plan_leaks_nothing_between_calls():
+    american_put = ("put", "american", 500, 100.0)
+    mixed = [
+        ("call", "american", 500, 95.0),
+        ("put", "european", 500, 105.0),
+        ("put", "american", 500, 95.0),
+        ("call", "european", 500, 100.0),
     ]
+    european = [
+        ("put", "european", 500, 95.0),
+        ("call", "european", 500, 105.0),
+        ("put", "european", 500, 100.0),
+        ("call", "european", 500, 95.0),
+    ]
+    other_rows(1)
+    plan = pricing_module._plans.plan
+    [first] = pinned_batch(american_put)
+    kept = [level.copy() for level in first.node_values]
+    # European rows skip the floors, and an American row must not read
+    # the floors of the last American row.
+    pinned_batch(("call", "european", 500, 95.0))
+    pinned_batch(("call", "american", 500, 105.0))
+    assert pricing_module._plans.plan is plan
+    other_rows(4)
+    plan = pricing_module._plans.plan
+    pinned_batch(*mixed)
+    pinned_batch(*european)
+    pinned_batch(*reversed(mixed))
+    assert pricing_module._plans.plan is plan
+    pinned_batch(american_put)
+    assert [level.tobytes() for level in first.node_values] == [
+        level.tobytes() for level in kept
+    ]
+
+
+def test_threads_each_reproduce_their_pinned_bits():
+    # Both grids use the same (N, m) shapes, so threads sharing a plan
+    # would write into each other's buffers.
+    grids = [
+        [key for key in sorted(PINNED_LATTICE_HEX) if key[:3] == (kind, "american", 20)]
+        for kind in ("call", "put")
+    ]
+    failures: list[tuple] = []
+
+    def price_many(keys):
+        for _ in range(200):
+            for key in keys:
+                if lattice_hex(build_lattice(pinned_inputs(*key))) != PINNED_LATTICE_HEX[key]:
+                    failures.append(key)
+            batch = build_lattices([pinned_inputs(*key) for key in keys])
+            for key, lattice in zip(keys, batch, strict=True):
+                if lattice_hex(lattice) != PINNED_LATTICE_HEX[key]:
+                    failures.append(key)
+
+    threads = [threading.Thread(target=price_many, args=(keys,)) for keys in grids]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 # ---------------------------------------------------------------------------
