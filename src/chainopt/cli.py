@@ -70,11 +70,11 @@ from .optimizer import (
 from .pricing import (
     ContractType,
     Exercise,
+    Lattice,
     PricingInputs,
     black_scholes_price,
     build_lattices,
     price_option,
-    tree_parameters,
 )
 from .universe import (
     ContractAnalytics,
@@ -305,19 +305,9 @@ def _solver_options(config: RunConfig) -> SolverOptions:
     )
 
 
-def _analytics(quote: EnrichedQuote, config: RunConfig) -> IvSolution | None:
-    """The quote's IV solve, or None when its mid breaks a no-arbitrage
-    bound."""
-    try:
-        return implied_vol(
-            quote.mid, _pricing_inputs(quote, config, config.sigma), _solver_options(config)
-        )
-    except ArbitrageViolation:
-        return None
-
-
 def _bar_ivs(quotes: Sequence[EnrichedQuote], config: RunConfig) -> list[IvSolution | None]:
-    """_analytics of each of one bar's quotes, solved in lockstep."""
+    """The IV solve of each of one bar's quotes, solved in lockstep, or None
+    where its mid breaks a no-arbitrage bound."""
     solutions = implied_vols(
         [(quote.mid, _pricing_inputs(quote, config, config.sigma)) for quote in quotes],
         _solver_options(config),
@@ -478,22 +468,18 @@ def _select_columns(matrix: ReturnMatrix, universe: Universe) -> ReturnMatrix:
 
 def cmd_price(config: RunConfig) -> int:
     """Model price for every (contract, bar) at the configured sigma, one
-    batched induction per bar."""
+    batched induction per bar. The first degenerate quote in file order
+    fails the command."""
     quotes, exclusions = _load_quotes(config)
-    inputs: list[PricingInputs] = []
-    bars: dict[datetime, list[int]] = {}
-    for index, quote in enumerate(quotes):
-        inputs.append(_pricing_inputs(quote, config, config.sigma))
-        # The first degenerate quote in file order fails the command
-        # before any bar is solved.
-        tree_parameters(inputs[-1])
-        bars.setdefault(quote.timestamp, []).append(index)
-    prices = [0.0] * len(quotes)
-    for indices in bars.values():
-        for index, lattice in zip(indices, build_lattices([inputs[i] for i in indices])):
-            prices[index] = lattice.root_value
+    lattices = {}
+    for bar_quotes in _quotes_by_bar(quotes).values():
+        inputs = [_pricing_inputs(quote, config, config.sigma) for quote in bar_quotes]
+        lattices.update(zip(bar_quotes, build_lattices(inputs)))
     rows = []
-    for quote, price in zip(quotes, prices):
+    for quote in quotes:
+        lattice = lattices[quote]
+        if not isinstance(lattice, Lattice):
+            raise lattice
         rows.append(
             [
                 quote.contract.ric,
@@ -502,7 +488,7 @@ def cmd_price(config: RunConfig) -> int:
                 repr(quote.contract.strike),
                 repr(quote.time_to_maturity),
                 repr(config.sigma),
-                repr(price),
+                repr(lattice.root_value),
             ]
         )
     header = ["ric", "timestamp", "spot", "strike", "time_to_maturity", "sigma", "price"]
@@ -512,11 +498,13 @@ def cmd_price(config: RunConfig) -> int:
 def cmd_iv(config: RunConfig) -> int:
     """Implied volatility for every (contract, bar)."""
     quotes, exclusions = _load_quotes(config)
+    opts = _solver_options(config)
     rows = []
     for quote in quotes:
-        solution = _analytics(quote, config)
         row = [quote.contract.ric, quote.timestamp.isoformat(), repr(quote.mid)]
-        if solution is None:
+        try:
+            solution = implied_vol(quote.mid, _pricing_inputs(quote, config, config.sigma), opts)
+        except ArbitrageViolation:
             rows.append(row + ["", "0", "", "false"])
             continue
         rows.append(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Sequence
 
 from .errors import (
@@ -41,7 +42,6 @@ from .pricing import (
     build_lattices,
     payoff,
     price_option,
-    tree_parameters,
 )
 
 # Default bump sizes, chosen to balance truncation error against
@@ -222,39 +222,38 @@ def rho_fd(inputs: PricingInputs, rate_bump: float = RHO_BUMP) -> float:
 def greek_sets(
     rows: Sequence[PricingInputs],
 ) -> list[GreekSet | DegenerateProbability | NegativeVolAfterBump]:
-    """greek_set of every row, with every priced row's lattice and its
-    four vega/rho reprices solved in one build_lattices call.
+    """greek_set of every row, with every row's lattice and its four
+    vega/rho reprices solved in one build_lattices call.
 
     The rows must share one step count, of at least 2. A row whose own
     tree or one of whose bumped trees is degenerate, or whose volatility
-    does not exceed VEGA_BUMP, is not priced: it gets the error that
-    greek_set raises for it, checked in the same order.
+    does not exceed VEGA_BUMP, gets the error that greek_set raises for
+    it: its own tree's first, then the bump's, then the bumped trees' in
+    order. A row whose bump fails enters the batch with its own tree only.
     """
     for inputs in rows:
         if inputs.steps < 2:
             raise InvalidConfig(
                 f"steps must be >= 2 for lattice Greeks, got {inputs.steps}"
             )
-    results: list[GreekSet | DegenerateProbability | NegativeVolAfterBump | None]
-    results = [None] * len(rows)
-    priced: list[int] = []
     batch: list[PricingInputs] = []
-    for index, inputs in enumerate(rows):
+    bump_errors: list[NegativeVolAfterBump | None] = []
+    for inputs in rows:
+        # The row's own tree leads its entries, so its error comes first.
+        batch.append(inputs)
         try:
-            # The unbumped tree's degenerate probability is reported
-            # before any bump is checked, as when it was solved first.
-            tree_parameters(inputs)
-            bumped = [*_vol_bumped(inputs, VEGA_BUMP), *_rate_bumped(inputs, RHO_BUMP)]
-            for row in bumped:
-                tree_parameters(row)
-        except (DegenerateProbability, NegativeVolAfterBump) as error:
-            results[index] = error
-            continue
-        priced.append(index)
-        batch += [inputs, *bumped]
-    lattices = build_lattices(batch)
-    for k, index in enumerate(priced):
-        results[index] = _lattice_greeks(*lattices[5 * k : 5 * k + 5])
+            batch += [*_vol_bumped(inputs, VEGA_BUMP), *_rate_bumped(inputs, RHO_BUMP)]
+        except NegativeVolAfterBump as error:
+            bump_errors.append(error)
+        else:
+            bump_errors.append(None)
+    solved = iter(build_lattices(batch))
+    results: list[GreekSet | DegenerateProbability | NegativeVolAfterBump] = []
+    for bump_error in bump_errors:
+        own = next(solved)
+        trees = [own, *islice(solved, 4)] if bump_error is None else [own, bump_error]
+        error = next((tree for tree in trees if not isinstance(tree, Lattice)), None)
+        results.append(_lattice_greeks(*trees) if error is None else error)
     return results
 
 

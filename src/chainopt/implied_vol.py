@@ -44,7 +44,6 @@ from .pricing import (
     black_scholes,
     build_lattices,
     price_option,
-    tree_parameters,
 )
 
 SIGMA_MIN = 1e-4
@@ -278,7 +277,7 @@ def implied_vols(
 
     The quotes must share one step count. Each round prices the pending
     probe of every unfinished quote in one ``build_lattices`` call; a
-    probe whose tree is degenerate is not priced and is sent None. Each
+    probe whose slot holds a degenerate tree's error is sent None. Each
     quote gets the IvSolution that implied_vol returns for it, or the
     ArbitrageViolation that implied_vol raises for it.
     """
@@ -291,21 +290,10 @@ def implied_vols(
         except ArbitrageViolation as error:
             results[index] = error
     while pending:
-        prices: dict[int, float | None] = {}
-        priced: list[tuple[int, PricingInputs]] = []
-        for index, (_, sigma) in pending.items():
-            row = quotes[index][1].replace(volatility=sigma)
-            try:
-                tree_parameters(row)
-            except DegenerateProbability:
-                prices[index] = None
-                continue
-            priced.append((index, row))
-        lattices = build_lattices([row for _, row in priced])
-        for (index, _), lattice in zip(priced, lattices):
-            prices[index] = lattice.root_value
-        for index, price in prices.items():
-            solver, _ = pending[index]
+        probes = list(pending.items())
+        rows = [quotes[index][1].replace(volatility=sigma) for index, (_, sigma) in probes]
+        for (index, (solver, _)), lattice in zip(probes, build_lattices(rows)):
+            price = None if isinstance(lattice, DegenerateProbability) else lattice.root_value
             try:
                 pending[index] = solver, solver.send(price)
             except StopIteration as stop:

@@ -35,7 +35,7 @@ from .errors import (
     NoMid,
     NoSpot,
 )
-from .pricing import ContractType, Exercise, PricingInputs, build_lattices
+from .pricing import ContractType, Exercise, Lattice, PricingInputs, build_lattices
 
 logger = logging.getLogger(__name__)
 
@@ -80,6 +80,23 @@ TRACKED_PRICE_COLUMNS = (
     "Close Bid",
     "Close Ask",
     "Mid Close",
+)
+
+# Columns no OptionContract or MarketBar field holds: a bar keeps their
+# raw text in extra.
+EXTRA_COLUMNS = (
+    "Domain",
+    "Type",
+    "No. Trades",
+    "Open Bid",
+    "High Bid",
+    "Low Bid",
+    "No. Bids",
+    "Open Ask",
+    "High Ask",
+    "Low Ask",
+    "No. Asks",
+    "Mid Open",
 )
 
 SPOT_COLUMNS = ("Date-Time", "Last")
@@ -301,21 +318,7 @@ def parse_option_chain(
                 continue
 
             na_count = sum(1 for value in prices.values() if value is None)
-            extra = {
-                name: cell[name]
-                for name in CHAIN_COLUMNS
-                if name not in TRACKED_PRICE_COLUMNS
-                and name
-                not in (
-                    "#RIC",
-                    "Date-Time",
-                    "Volume",
-                    "Root",
-                    "Strike Price",
-                    "Maturity",
-                    "Contract Type",
-                )
-            }
+            extra = {name: cell[name] for name in EXTRA_COLUMNS}
             bar = MarketBar(
                 timestamp=timestamp,
                 open=prices["Open"],
@@ -560,8 +563,9 @@ class SyntheticChain:
     spot_series: list[tuple[datetime, float]]
 
 
-def _format_price(value: float) -> str:
-    return repr(float(value))
+def _format_price(value: float | None) -> str:
+    """A price cell: the float's repr, or empty for an absent price."""
+    return "" if value is None else repr(float(value))
 
 
 def generate_synthetic_chain(config: GeneratorConfig, seed: int) -> SyntheticChain:
@@ -644,6 +648,8 @@ def generate_synthetic_chain(config: GeneratorConfig, seed: int) -> SyntheticCha
             )
         # One induction prices all of the contract's live bars.
         for timestamp, lattice in zip(stamps, build_lattices(rows)):
+            if not isinstance(lattice, Lattice):
+                raise lattice
             mid = lattice.root_value
             bid = max(mid - config.half_spread, 0.0)
             ask = mid + config.half_spread
@@ -708,37 +714,24 @@ def write_option_chain(
         writer = csv.writer(handle)
         writer.writerow(CHAIN_COLUMNS)
         for contract, bar in records:
-            tracked = {
-                "Open": bar.open,
-                "High": bar.high,
-                "Low": bar.low,
-                "Last": bar.last,
-                "Close Bid": bar.close_bid,
-                "Close Ask": bar.close_ask,
-                "Mid Close": bar.mid_close,
+            cells = {
+                **bar.extra,
+                "#RIC": contract.ric,
+                "Date-Time": bar.timestamp.isoformat(),
+                "Open": _format_price(bar.open),
+                "High": _format_price(bar.high),
+                "Low": _format_price(bar.low),
+                "Last": _format_price(bar.last),
+                "Volume": "" if bar.volume is None else str(bar.volume),
+                "Close Bid": _format_price(bar.close_bid),
+                "Close Ask": _format_price(bar.close_ask),
+                "Mid Close": _format_price(bar.mid_close),
+                "Root": contract.root,
+                "Strike Price": _format_price(contract.strike),
+                "Maturity": contract.maturity.isoformat(),
+                "Contract Type": "C" if contract.contract_type is ContractType.CALL else "P",
             }
-            row = []
-            for name in CHAIN_COLUMNS:
-                if name == "#RIC":
-                    row.append(contract.ric)
-                elif name == "Date-Time":
-                    row.append(bar.timestamp.isoformat())
-                elif name == "Volume":
-                    row.append("" if bar.volume is None else str(bar.volume))
-                elif name == "Root":
-                    row.append(contract.root)
-                elif name == "Strike Price":
-                    row.append(_format_price(contract.strike))
-                elif name == "Maturity":
-                    row.append(contract.maturity.isoformat())
-                elif name == "Contract Type":
-                    row.append("C" if contract.contract_type is ContractType.CALL else "P")
-                elif name in tracked:
-                    value = tracked[name]
-                    row.append("" if value is None else _format_price(value))
-                else:
-                    row.append(bar.extra.get(name, ""))
-            writer.writerow(row)
+            writer.writerow([cells.get(name, "") for name in CHAIN_COLUMNS])
 
 
 def write_spot_series(series: Sequence[tuple[datetime, float]], path: str) -> None:

@@ -4,14 +4,16 @@ The lattice is a recombining Cox-Ross-Rubinstein tree: up factor
 u = exp(sigma*sqrt(dt)), down factor d = 1/u, and risk-neutral up
 probability q_rn = (exp((r - q)*dt) - d)/(u - d). Backward induction
 applies the early-exercise comparison at every node for American
-contracts. build_lattices is the only induction loop: it solves rows
-that share a step count side by side, in cache-sized blocks, and keeps
+contracts. build_lattices is the only induction loop and the one place
+that decides whether a row's tree is degenerate: it returns each row's
+lattice, or the DegenerateProbability its tree parameters raise, and
+solves the other rows side by side, in cache-sized blocks, keeping
 their first three steps, which the Greeks read. A block's rows lie
 node-major, node j of row r at flat index j*m + r, so every step works
 on its live nodes only and shrinks by one node per row; the intrinsic
 floor is split by spot-column parity so each step reads one slice of
-it. build_lattice is the one-row case, and price_option is that
-lattice's root value.
+it. build_lattice is the one-row case and raises its row's error, and
+price_option is that lattice's root value.
 
 An induction of m rows of N steps runs on a plan: two value buffers,
 the two parity floors, the tiled coefficients and, for every step, the
@@ -174,12 +176,13 @@ def tree_parameters(inputs: PricingInputs) -> tuple[float, float, float, float, 
     return dt, u, d, q_rn, discount
 
 
-def build_lattices(rows: Sequence[PricingInputs]) -> list[Lattice]:
-    """Solve the trees of rows that share one step count N, raising the
-    first degenerate row's error.
+def build_lattices(rows: Sequence[PricingInputs]) -> list[Lattice | DegenerateProbability]:
+    """Solve the trees of rows that share one step count N: each row gets
+    its Lattice, or the DegenerateProbability that tree_parameters raises
+    for it.
 
-    Every row is checked, the shared N and then each row's tree
-    parameters in order, before any induction runs. The rows are then
+    Rows of mixed N raise InvalidConfig before any induction runs. Each
+    row's tree parameters are computed once. The solvable rows are then
     solved in consecutive blocks of at most max(1, BLOCK_NODES // (N+1))
     rows, one backward induction per block, so a block's working arrays
     stay cache-sized however many rows there are. A row's lattice is the
@@ -193,13 +196,23 @@ def build_lattices(rows: Sequence[PricingInputs]) -> list[Lattice]:
             raise InvalidConfig(
                 f"rows of one induction share a step count, got {n} and {inputs.steps}"
             )
-    params = [tree_parameters(inputs) for inputs in rows]
+    results: list[Lattice | DegenerateProbability | None] = [None] * len(rows)
+    solvable: list[int] = []
+    params = []
+    for index, inputs in enumerate(rows):
+        try:
+            params.append(tree_parameters(inputs))
+        except DegenerateProbability as error:
+            results[index] = error
+        else:
+            solvable.append(index)
     size = max(1, BLOCK_NODES // (n + 1))
-    lattices: list[Lattice] = []
-    for start in range(0, len(rows), size):
-        block = slice(start, start + size)
-        lattices.extend(_induct(rows[block], params[block], n))
-    return lattices
+    for start in range(0, len(solvable), size):
+        block = solvable[start : start + size]
+        lattices = _induct([rows[i] for i in block], params[start : start + size], n)
+        for index, lattice in zip(block, lattices):
+            results[index] = lattice
+    return results
 
 
 class _Plan:
@@ -329,13 +342,16 @@ def _induct(
 
 
 def build_lattice(inputs: PricingInputs) -> Lattice:
-    """Solve one tree: build_lattices of the one row."""
-    return build_lattices([inputs])[0]
+    """Solve one tree: build_lattices of the one row, raising its error."""
+    (result,) = build_lattices([inputs])
+    if isinstance(result, DegenerateProbability):
+        raise result
+    return result
 
 
 def price_option(inputs: PricingInputs) -> float:
     """Root lattice value."""
-    return build_lattices([inputs])[0].root_value
+    return build_lattice(inputs).root_value
 
 
 def _norm_cdf(x: float) -> float:

@@ -1059,7 +1059,7 @@ class TestUnsolvedQuotesInLockstep:
         assert self.BELOW_INTRINSIC in by_bar[1]
         assert self.NEAR_ZERO in by_bar[2]
 
-        module = sys.modules["chainopt.implied_vol"]
+        module = sys.modules["chainopt.pricing"]
         degenerate = []
 
         def recording(inputs):

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainopt.errors import (
+    DegenerateProbability,
     ExpiredContract,
     InvalidConfig,
     MalformedRow,
@@ -574,6 +575,39 @@ class TestGenerateSyntheticChain:
             )
             assert solution.converged
             assert abs(solution.sigma - chain.true_sigma[contract.ric]) <= 1e-4
+
+    def test_a_degenerate_row_fails_with_its_contracts_first_error(self):
+        # At N=1, sigma=0.06 and r=0.1 the tree degenerates once dt = T >
+        # 0.36 years, so the 3-month contract prices and the 1-year one
+        # does not. Its first bar has the longest step, which the message
+        # names.
+        config = GeneratorConfig(
+            strikes=(100.0,),
+            maturities=(0.25, 1.0),
+            bars=3,
+            sigma_range=(0.06, 0.06),
+            rate=0.1,
+            steps=1,
+        )
+        expiry = datetime.combine(
+            (config.start + timedelta(days=365)).date(), datetime.min.time(), tzinfo=UTC
+        )
+        first = PricingInputs(
+            spot=config.spot,
+            strike=100.0,
+            time_to_maturity=(expiry - config.start) / timedelta(days=365),
+            rate=config.rate,
+            dividend_yield=0.0,
+            volatility=0.06,
+            steps=1,
+            contract_type=ContractType.CALL,
+            exercise=Exercise.AMERICAN,
+        )
+        with pytest.raises(DegenerateProbability) as expected:
+            price_option(first)
+        with pytest.raises(DegenerateProbability) as raised:
+            generate_synthetic_chain(config, seed=0)
+        assert str(raised.value) == str(expected.value)
 
     def test_illiquid_fraction_lands_in_illiquid_bucket(self):
         config = GeneratorConfig(

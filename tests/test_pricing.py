@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainopt.pricing as pricing_module
@@ -622,7 +623,7 @@ def test_threads_each_reproduce_their_pinned_bits():
 @st.composite
 def lattice_rows(draw):
     """One step count and 1-6 rows of mixed type and exercise style that
-    share it, none with a degenerate probability."""
+    share it, some of them with a degenerate probability."""
     steps = draw(st.sampled_from([1, 2, 3, 7, 20, 75]) | st.integers(1, 120))
     rows = []
     for _ in range(draw(st.integers(1, 6))):
@@ -632,15 +633,11 @@ def lattice_rows(draw):
             maturity=draw(st.floats(0.01, 2.0)),
             rate=draw(st.floats(-0.02, 0.1)),
             dividend_yield=draw(st.floats(0.0, 0.05)),
-            volatility=draw(st.floats(0.05, 0.9)),
+            volatility=draw(st.floats(0.05, 0.9) | st.floats(0.001, 0.05)),
             steps=steps,
             contract_type=draw(st.sampled_from(ContractType)),
             exercise=draw(st.sampled_from(Exercise)),
         )
-        try:
-            tree_parameters(inputs)
-        except DegenerateProbability:
-            assume(False)
         rows.append(inputs)
     return rows
 
@@ -649,7 +646,12 @@ def lattice_rows(draw):
 @given(lattice_rows())
 def test_batched_rows_match_their_single_lattices_bit_for_bit(rows):
     for inputs, lattice in zip(rows, build_lattices(rows), strict=True):
-        single = build_lattice(inputs)
+        try:
+            single = build_lattice(inputs)
+        except DegenerateProbability as error:
+            assert type(lattice) is DegenerateProbability
+            assert str(lattice) == str(error)
+            continue
         assert lattice.inputs is inputs
         assert (lattice.steps, lattice.dt, lattice.up, lattice.down, lattice.q_rn) == (
             single.steps, single.dt, single.up, single.down, single.q_rn
@@ -672,15 +674,28 @@ def test_batch_rejects_mixed_step_counts():
         build_lattices([make_inputs(steps=20), make_inputs(steps=21)])
 
 
-def test_batch_raises_its_first_degenerate_rows_error():
-    ok = make_inputs(steps=50)
+def degenerate_message(inputs) -> str:
+    """The message tree_parameters raises for a degenerate row."""
+    with pytest.raises(DegenerateProbability) as raised:
+        tree_parameters(inputs)
+    return str(raised.value)
+
+
+def test_batch_returns_each_degenerate_rows_error_in_its_slot():
+    ok = make_inputs(steps=1)
     first = make_inputs(steps=1, rate=1.0, volatility=0.05)
     second = make_inputs(steps=1, rate=2.0, volatility=0.05)
-    with pytest.raises(DegenerateProbability) as expected:
-        tree_parameters(first)
-    with pytest.raises(DegenerateProbability) as raised:
-        build_lattices([ok.replace(steps=1), first, second])
-    assert str(raised.value) == str(expected.value)
+    messages = [degenerate_message(first), degenerate_message(second)]
+    assert messages[0] != messages[1]
+    results = build_lattices([first, ok, second])
+    assert [type(result) for result in results[::2]] == [DegenerateProbability] * 2
+    assert [str(result) for result in results[::2]] == messages
+    assert [level.tobytes() for level in results[1].node_values] == [
+        level.tobytes() for level in build_lattice(ok).node_values
+    ]
+    for inputs, message in zip([first, second], messages):
+        with pytest.raises(DegenerateProbability, match=re.escape(message)):
+            build_lattice(inputs)
 
 
 def block_rows(count=40, steps=1000):
@@ -735,15 +750,28 @@ def test_a_row_wider_than_a_block_is_solved_alone(monkeypatch):
         assert lattice.root_value == price_option(inputs)
 
 
-def test_a_later_blocks_errors_come_before_any_induction(monkeypatch):
+def test_degenerate_rows_never_reach_an_induction(monkeypatch):
     rows = block_rows()
-    degenerate = make_inputs(rate=1.0, volatility=0.01)
-    with pytest.raises(DegenerateProbability) as expected:
-        tree_parameters(degenerate)
+    degenerate = [make_inputs(rate=1.0, volatility=0.01), make_inputs(rate=2.0, volatility=0.01)]
+    batch = rows[:3] + degenerate[:1] + rows[3:35] + degenerate[1:] + rows[35:]
     sizes = counted_inductions(monkeypatch)
-    with pytest.raises(DegenerateProbability) as raised:
-        build_lattices(rows[:35] + [degenerate] + rows[35:])
-    assert str(raised.value) == str(expected.value)
+    results = build_lattices(batch)
+    # Blocks are formed over the 40 solvable rows alone.
+    per_block = BLOCK_NODES // 1001
+    assert sizes == [per_block, per_block, 40 - 2 * per_block]
+    errors = [i for i, result in enumerate(results) if type(result) is DegenerateProbability]
+    assert errors == [3, 36]
+    assert [str(results[i]) for i in errors] == [
+        degenerate_message(inputs) for inputs in degenerate
+    ]
+    solved = results[:3] + results[4:36] + results[37:]
+    for inputs, lattice in zip(rows, solved, strict=True):
+        single = build_lattice(inputs)
+        assert lattice.inputs is inputs
+        assert [level.tobytes() for level in lattice.node_values] == [
+            level.tobytes() for level in single.node_values
+        ]
+    sizes.clear()
     with pytest.raises(InvalidConfig, match="got 1000 and 999"):
-        build_lattices(rows[:35] + [make_inputs(steps=999)] + rows[35:])
+        build_lattices(batch[:35] + [make_inputs(steps=999)] + batch[35:])
     assert sizes == []
